@@ -427,10 +427,7 @@ let live_env t : exec_env = { ectx = t.sqlctx; ecat = catalog t }
     build: the expensive copy-on-write happened at publish time. *)
 let read_env ?limits t (snap : snapshot) : exec_env =
   let c = E.create ~memo_lock:t.snap_memo_lock snap.snap_db in
-  (* ctx index lists are built by consing, newest first *)
-  List.iter (E.attach_xml_index c) (List.rev snap.snap_x);
-  List.iter (E.attach_rel_index c) (List.rev snap.snap_r);
-  List.iter (E.adopt_struct_index c) (List.rev snap.snap_s);
+  E.adopt_indexes c ~xml:snap.snap_x ~rel:snap.snap_r ~structural:snap.snap_s;
   E.set_use_indexes c (use_indexes t);
   E.set_parallelism c (parallelism t);
   E.set_limits c (match limits with Some l -> l | None -> E.limits t.sqlctx);
@@ -443,6 +440,14 @@ let read_env ?limits t (snap : snapshot) : exec_env =
         sindexes = snap.snap_s;
       };
   }
+
+(** A private context over the live state (read-your-writes) for a
+    cursor: its parameters, meter and EXPLAIN notes are its own, so other
+    statements can run on the engine while it is drained. *)
+let private_env ?limits t : exec_env =
+  let c = E.fork t.sqlctx in
+  Option.iter (E.set_limits c) limits;
+  { ectx = c; ecat = catalog t }
 
 (** Apply a per-call limits override to a (live) context for the
     duration of [f]. Snapshot contexts are private, so they set limits
@@ -746,9 +751,17 @@ let run_env t (env : exec_env) (cs : compiled_stmt)
       let prof = E.profile env.ectx in
       Xprof.start_statement prof;
       match
-        Planner.execute_compiled ~limits:(E.limits env.ectx) ~prof
-          ~use_indexes:(E.use_indexes env.ectx) ~vars
-          ~parallelism:(E.parallelism env.ectx) env.ecat c
+        let items, plan, meter =
+          Planner.execute ~limits:(E.limits env.ectx) ~prof
+            ~use_indexes:(E.use_indexes env.ectx) ~vars
+            ~parallelism:(E.parallelism env.ectx) env.ecat c
+        in
+        let items =
+          Xprof.spanned ~rows:List.length prof "XQUERY" (fun () ->
+              List.of_seq items)
+        in
+        Xprof.set_governor prof (Xdm.Limits.usage meter);
+        (items, plan)
       with
       | items, plan ->
           Xprof.finish_statement prof;
@@ -1061,60 +1074,51 @@ module Cursor = struct
     go acc
 end
 
-(** Open a cursor against an environment. [wrap] as in {!run_env}. On a
-    snapshot environment the context is private to this cursor, so its
-    parameters stay pinned for the cursor's whole lifetime without
-    blocking anything else on the engine. *)
+(** Open a cursor against an environment. Reads get a private
+    environment from the caller and stream off it, so their bindings stay
+    pinned for the cursor's whole lifetime without blocking anything
+    else. Writes materialize at open under [wrap] (as in {!run_env}), so
+    any WAL group closes before the cursor is handed back, and leave no
+    bindings installed behind them. *)
 let cursor_in_env t (env : exec_env) (cs : compiled_stmt)
     ~(wrap :
        [ `Read | `Dml | `Ddl ] ->
        (unit -> string list * SV.t list Seq.t) ->
        string list * SV.t list Seq.t) ~params ~vars : Cursor.t =
+  let open_ seq cols =
+    { Cursor.seq; state = `Open; cols; registry = t.registry; produced = 0 }
+  in
   match cs with
   | CSql (stmt, nslots) ->
       check_sql_arity nslots params vars;
       E.set_params env.ectx (Array.of_list params);
-      (* reads stream lazily ([wrap] passes them through); DML and DDL
-         materialize inside exec_seq, so any WAL group closes before the
-         cursor is handed back *)
-      let cols, rows = wrap (E.stmt_class stmt) (fun () -> E.exec_seq env.ectx stmt) in
-      {
-        Cursor.seq = Seq.map (fun r -> Cursor.Row r) rows;
-        state = `Open;
-        cols;
-        registry = t.registry;
-        produced = 0;
-      }
+      let cols, rows =
+        match E.stmt_class stmt with
+        | `Read -> E.exec_seq env.ectx stmt
+        | cls ->
+            Fun.protect
+              ~finally:(fun () -> E.set_params env.ectx [||])
+              (fun () -> wrap cls (fun () -> E.exec_seq env.ectx stmt))
+      in
+      open_ (Seq.map (fun r -> Cursor.Row r) rows) cols
   | CXquery c ->
       check_xquery_bindings c vars params;
       let items, _plan, _meter =
-        Planner.execute_compiled_seq ~limits:(E.limits env.ectx)
+        Planner.execute ~limits:(E.limits env.ectx)
           ~prof:(E.profile env.ectx) ~use_indexes:(E.use_indexes env.ectx)
           ~vars env.ecat c
       in
-      {
-        Cursor.seq = Seq.map (fun i -> Cursor.Item i) items;
-        state = `Open;
-        cols = [];
-        registry = t.registry;
-        produced = 0;
-      }
+      open_ (Seq.map (fun i -> Cursor.Item i) items) []
 
 (** Open a streaming cursor over a statement. Rows/items are produced as
-    the consumer pulls: SELECTs without aggregation/ORDER BY stream
-    straight off the table scan, path-shaped and FLWOR-shaped XQueries
-    stream per document/binding (others fall back to materializing, then
-    streaming the result).
-
-    In concurrent mode (or inside a read-only [?txn]) a read cursor gets
-    its own private context over a pinned snapshot: it streams lazily
-    off immutable state, its parameters are pinned privately, and it
-    stays valid — and consistent — however long the client fetches,
-    regardless of concurrent commits. On a sequential (non-concurrent)
-    engine the historical behavior is kept: the statement's parameters
-    stay bound to the engine for the cursor's lifetime, so interleaving
-    other parameterized statements while such a cursor is open is
-    unsupported. *)
+    the consumer pulls: a SELECT without a GROUP BY or ORDER BY barrier
+    streams straight off the table scan, path- and FLWOR-shaped XQueries
+    per document/binding (structural joins included); other statements
+    materialize, then stream the result. Every read cursor runs on a
+    private context — over a pinned snapshot in concurrent mode or inside
+    a read-only [?txn], over the live state otherwise — so its
+    parameters stay its own however long the client fetches and whatever
+    else runs on the engine meanwhile. *)
 let open_cursor ?(params : SV.t list = [])
     ?(vars : (string * Xdm.Item.seq) list = []) ?(txn : Txn.txn option)
     ?(limits : Xdm.Limits.t option) t (src : string) : Cursor.t =
@@ -1140,20 +1144,23 @@ let open_cursor ?(params : SV.t list = [])
                 txn_error
                   "DDL is not allowed inside an explicit transaction; run \
                    it in autocommit"
-            | Txn.Read_write, (`Read | `Dml) ->
-                (* read-your-writes off the live state; DML materializes
-                   inside exec_seq, journaling into the transaction's
-                   open WAL group *)
-                cursor_in_env t (live_env t) cs ~wrap:live_wrap ~params ~vars)
+            | Txn.Read_write, `Read ->
+                cursor_in_env t (private_env ?limits t) cs ~wrap:live_wrap
+                  ~params ~vars
+            | Txn.Read_write, `Dml ->
+                (* DML materializes inside exec_seq, journaling into the
+                   transaction's open WAL group *)
+                with_limits_override t.sqlctx limits (fun () ->
+                    cursor_in_env t (live_env t) cs ~wrap:live_wrap ~params
+                      ~vars))
         | None -> (
             match class_of cs with
             | `Read when t.concurrent ->
                 cursor_in_env t (read_env ?limits t (pin t)) cs
                   ~wrap:live_wrap ~params ~vars
             | `Read ->
-                with_limits_override t.sqlctx limits (fun () ->
-                    cursor_in_env t (live_env t) cs ~wrap:live_wrap ~params
-                      ~vars)
+                cursor_in_env t (private_env ?limits t) cs ~wrap:live_wrap
+                  ~params ~vars
             | `Dml | `Ddl ->
                 autocommit_write t (fun () ->
                     with_limits_override t.sqlctx limits (fun () ->
@@ -1166,94 +1173,6 @@ let open_cursor ?(params : SV.t list = [])
 let execute_cursor ?(params = []) ?(vars = []) ?txn ?limits (s : stmt) :
     Cursor.t =
   open_cursor ~params ~vars ?txn ?limits s.st_engine s.st_src
-
-(* ------------------------------------------------------------------ *)
-(* SQL/XML (deprecated one-shot wrappers)                              *)
-(* ------------------------------------------------------------------ *)
-
-(** Execute a SQL/XML statement. Deprecated: use {!exec}, which returns
-    a structured {!outcome} and goes through the plan cache. Kept for
-    callers that rely on the original [Sql_exec.result] shape and
-    layer-private exceptions. *)
-let sql t (src : string) : E.result =
-  (* inlines E.exec_string so the statement can be classified and run as
-     a WAL group on a durable handle; exception behavior is unchanged.
-     Routed through the same implicit-autocommit writer discipline as
-     {!exec}: writes take the writer slot (and are refused while an
-     explicit transaction holds it), so legacy callers stay safe on a
-     concurrent engine. *)
-  let go () =
-    let stmt = Sqlxml.Sql_parser.parse src in
-    (match (E.strict_static t.sqlctx, E.static_check t.sqlctx) with
-    | true, Some check -> check ~src stmt
-    | _ -> ());
-    match E.stmt_class stmt with
-    | `Read -> E.exec t.sqlctx stmt
-    | (`Dml | `Ddl) as cls ->
-        autocommit_write t (fun () ->
-            autocommit_wrap t ~src cls (fun () -> E.exec t.sqlctx stmt))
-  in
-  match go () with
-  | r ->
-      record_statement t;
-      r
-  | exception ex ->
-      record_statement t;
-      raise ex
-
-(** EXPLAIN trace of the last SQL statement. Deprecated: read
-    [outcome.notes] from {!exec} instead. *)
-let last_notes t = E.last_notes t.sqlctx
-
-(** Indexes used by the last SQL statement. Deprecated: read
-    [outcome.indexes_used] from {!exec} instead. *)
-let last_indexes_used t = E.last_used t.sqlctx
-
-(* ------------------------------------------------------------------ *)
-(* Stand-alone XQuery (deprecated one-shot wrappers)                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Run a stand-alone XQuery, using eligible indexes to pre-filter
-    collections. Returns the result and the plan (with EXPLAIN notes).
-    Deprecated: use {!exec}/{!prepare}, which cache compilation and
-    support parameters. *)
-let xquery t (src : string) : Xdm.Item.seq * Planner.t =
-  if strict_types t then begin
-    let q, locs = Xquery.Parser.parse_query_loc src in
-    Analysis.Analyze.check_xquery ~catalog:(catalog t) ~locs q
-  end;
-  let prof = profile t in
-  Xprof.start_statement prof;
-  match
-    if use_indexes t then
-      Planner.run_xquery ~limits:(limits t) ~prof (catalog t) src
-    else
-      ( Planner.run_xquery_noindex ~limits:(limits t) ~prof (catalog t) src,
-        { Planner.restrictions = []; notes = [ "index use disabled" ];
-          indexes_used = [] } )
-  with
-  | r ->
-      Xprof.finish_statement prof;
-      record_statement t;
-      r
-  | exception ex ->
-      Xprof.finish_statement prof;
-      record_statement t;
-      raise ex
-
-(** Run a stand-alone XQuery with a full collection scan (baseline). *)
-let xquery_noindex t (src : string) : Xdm.Item.seq =
-  let prof = profile t in
-  Xprof.start_statement prof;
-  match Planner.run_xquery_noindex ~limits:(limits t) ~prof (catalog t) src with
-  | r ->
-      Xprof.finish_statement prof;
-      record_statement t;
-      r
-  | exception ex ->
-      Xprof.finish_statement prof;
-      record_statement t;
-      raise ex
 
 (** Serialize a result sequence the way a query shell would. *)
 let to_xml (seq : Xdm.Item.seq) : string = Xmlparse.Xml_writer.seq_to_string seq

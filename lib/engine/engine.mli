@@ -18,8 +18,7 @@
     runtime/value errors, [FODC0002] malformed documents, [XQDB0004]
     internal faults, [XQDB0007] transaction discipline (write-write
     conflicts, writes in a read-only transaction, DDL or checkpoint
-    inside an explicit transaction). (The deprecated {!sql}/{!xquery}
-    wrappers keep their historical layer-private exceptions.) *)
+    inside an explicit transaction). *)
 
 (** Re-export: the Tips 1–12 advisor. *)
 module Advisor = Advisor
@@ -295,17 +294,17 @@ module Cursor : sig
 end
 
 (** Open a streaming cursor: results are produced as the consumer pulls.
-    SELECTs without aggregation/ORDER BY stream off the table scan;
-    path- and FLWOR-shaped XQueries stream per document/binding; other
-    statements fall back to materializing, then streaming the result.
+    A SELECT without a GROUP BY or ORDER BY barrier streams off the table
+    scan; path- and FLWOR-shaped XQueries stream per document/binding,
+    structural joins included; other statements materialize, then
+    stream the result.
 
-    In concurrent mode — or inside a read-only [?txn] — a read cursor
-    gets a private context over a pinned snapshot: it streams lazily off
-    immutable state, its parameter bindings are private, and it stays
-    consistent however long the client fetches, regardless of concurrent
-    commits. On a sequential engine the historical caveat stands: a
-    parameterized SQL cursor keeps its bindings installed on the engine,
-    so don't interleave other statements while it is open. *)
+    Every read cursor runs on a private context — over a pinned snapshot
+    in concurrent mode or inside a read-only [?txn], over the live state
+    otherwise — so its parameter bindings are its own: other statements,
+    parameterized or not, may run on the engine while it is open. A
+    snapshot cursor also stays consistent however long the client
+    fetches, regardless of concurrent commits. *)
 val open_cursor :
   ?params:Storage.Sql_value.t list ->
   ?vars:(string * Xdm.Item.seq) list ->
@@ -383,31 +382,3 @@ val analyze : t -> string -> Analysis.Diag.t list
 
 (** Serialize a result sequence the way a query shell would. *)
 val to_xml : Xdm.Item.seq -> string
-
-(** {1 Deprecated one-shot wrappers}
-
-    Kept for existing callers; they bypass the plan cache and keep their
-    historical exception behavior (writes are still routed through the
-    implicit-autocommit writer slot, so they stay safe on a concurrent
-    engine). New code should use {!exec}, {!prepare} and
-    {!open_cursor}. *)
-
-(** Deprecated: use {!exec}. *)
-val sql : t -> string -> Sqlxml.Sql_exec.result
-[@@deprecated "use Engine.exec (structured outcome, plan cache, ?txn)"]
-
-(** Deprecated: read [outcome.notes]. *)
-val last_notes : t -> string list
-[@@deprecated "read outcome.notes from Engine.exec"]
-
-(** Deprecated: read [outcome.indexes_used]. *)
-val last_indexes_used : t -> string list
-[@@deprecated "read outcome.indexes_used from Engine.exec"]
-
-(** Deprecated: use {!exec}/{!prepare} (cached compilation, parameters). *)
-val xquery : t -> string -> Xdm.Item.seq * Planner.t
-[@@deprecated "use Engine.exec (plan cache, parameters, ?txn)"]
-
-(** Deprecated: use {!set_use_indexes} [false] + {!exec}. *)
-val xquery_noindex : t -> string -> Xdm.Item.seq
-[@@deprecated "use Engine.set_use_indexes false + Engine.exec"]

@@ -412,33 +412,6 @@ let restrict_collection ?(params = []) ?(xml_bindings = [])
   let r = solve s sub in
   (r, List.rev s.notes, List.sort_uniq compare s.used)
 
-(** Parse, analyze, plan and execute a stand-alone XQuery against the
-    database, using eligible indexes to pre-filter collections
-    (Definition 1's [Q(I(P, D))]). *)
-let run_xquery ?(limits = Xdm.Limits.unlimited) ?(prof = Xprof.disabled)
-    (cat : catalog) (src : string) : Xdm.Item.seq * t =
-  let q = Xquery.Parser.parse_query src in
-  let q = Xquery.Static.resolve q in
-  let tree = Eligibility.Extract.analyze q in
-  (* planning itself probes indexes; span it so index probe time shows up
-     under PLAN rather than inside the XQUERY operator *)
-  let plan = Xprof.spanned prof "PLAN" (fun () -> plan ~prof cat tree) in
-  let resolver =
-    Storage.Database.resolver ~prof ~restrict_to:plan.restrictions cat.db
-  in
-  let meter = Xdm.Limits.meter ~limits () in
-  let ctx =
-    Xquery.Ctx.init ~resolver
-      ~construction_preserve:q.Xquery.Ast.prolog.Xquery.Ast.construction_preserve
-      ~meter ~prof ()
-  in
-  let result =
-    Xprof.spanned ~rows:List.length prof "XQUERY" (fun () ->
-        Xquery.Eval.eval ctx q.Xquery.Ast.body)
-  in
-  Xprof.set_governor prof (Xdm.Limits.usage meter);
-  (result, plan)
-
 (* ------------------------------------------------------------------ *)
 (* Compiled statements (the prepared-statement front half)             *)
 (* ------------------------------------------------------------------ *)
@@ -488,29 +461,6 @@ let split_bindings (vars : (string * Xdm.Item.seq) list) :
 let no_index_plan : t =
   { restrictions = []; notes = [ "index use disabled" ]; indexes_used = [] }
 
-let compiled_setup ?(prof = Xprof.disabled) ?(use_indexes = true)
-    ?(vars : (string * Xdm.Item.seq) list = []) ?(parallelism = 1) ~limits
-    (cat : catalog) (c : compiled) : Xquery.Ctx.t * t * Xdm.Limits.meter =
-  let plan_t =
-    if use_indexes then begin
-      let params, xml_bindings = split_bindings vars in
-      Xprof.spanned prof "PLAN" (fun () ->
-          plan ~params ~xml_bindings ~parallelism ~prof cat c.c_tree)
-    end
-    else no_index_plan
-  in
-  let resolver =
-    Storage.Database.resolver ~prof ~restrict_to:plan_t.restrictions cat.db
-  in
-  let meter = Xdm.Limits.meter ~limits () in
-  let ctx =
-    Xquery.Ctx.init ~resolver
-      ~construction_preserve:
-        c.c_query.Xquery.Ast.prolog.Xquery.Ast.construction_preserve
-      ~meter ~prof ()
-  in
-  (Xquery.Ctx.bind_all ctx vars, plan_t, meter)
-
 (* ------------------------------------------------------------------ *)
 (* Structural-join execution                                           *)
 (* ------------------------------------------------------------------ *)
@@ -519,11 +469,9 @@ let compiled_setup ?(prof = Xprof.disabled) ?(use_indexes = true)
     collection — [db2-fn:xmlcolumn('T.C')/step/step/...] with every step
     a bare axis? That is the [PStructJoin] shape: each step becomes one
     structural (interval/staircase) join over the collection's node
-    encoding. Returns the collection, the first (collection-producing)
-    step and the axis descriptors. *)
+    encoding. Returns the collection and the axis descriptors. *)
 let struct_shape (body : Xquery.Ast.expr) :
-    (string * Xquery.Ast.step * (Xquery.Ast.axis * Xquery.Ast.nodetest) list)
-    option =
+    (string * (Xquery.Ast.axis * Xquery.Ast.nodetest) list) option =
   match body with
   | Xquery.Ast.EPath
       ( Xquery.Ast.Relative,
@@ -537,7 +485,7 @@ let struct_shape (body : Xquery.Ast.expr) :
                    args = [ Xquery.Ast.ELit (Xdm.Atomic.Str coll) ];
                  };
              preds = [];
-           } as first)
+           })
         :: (_ :: _ as rest) ) ->
       let rec axes acc = function
         | [] -> Some (List.rev acc)
@@ -545,7 +493,7 @@ let struct_shape (body : Xquery.Ast.expr) :
             axes ((axis, test) :: acc) tl
         | _ -> None
       in
-      Option.map (fun steps -> (coll, first, steps)) (axes [] rest)
+      Option.map (fun steps -> (coll, steps)) (axes [] rest)
   | _ -> None
 
 let sindex_for (cat : catalog) (coll : string) : S.t option =
@@ -553,105 +501,27 @@ let sindex_for (cat : catalog) (coll : string) : S.t option =
     (fun (s : S.t) -> norm (S.collection_of_def s.S.def) = norm coll)
     cat.sindexes
 
-(** Execute a compiled query through the structural index when its body
-    has the [PStructJoin] shape and the collection is covered. Each
-    document's steps run as array joins over its (pre, post, parent,
-    level) encoding; a document without an encoding (e.g. replaced after
-    an MVCC snapshot was taken) falls back to tree-walk evaluation, so
-    the result is always exactly the navigational one. Documents are
-    independent, so parallelism chunks them like {!Xquery.Eval.eval_par}
-    — the order-preserving merge keeps output byte-identical. Returns
+(** The structural join as the path decomposition's per-tree evaluator
+    (see {!Xquery.Eval.eval_lazy}): when the body has the [PStructJoin]
+    shape and the collection is covered, each document's steps run as
+    array joins over its (pre, post, parent, level) encoding. A document
+    without an encoding (e.g. replaced after an MVCC snapshot was taken)
+    answers [None] and is walked instead, so the result is always exactly
+    the navigational one. Returns the join and the plan with its notes;
     [None] when the shape or the index is missing. *)
-let try_structural ~(prof : Xprof.t) ~parallelism ?chunk_size (cat : catalog)
-    (ctx : Xquery.Ctx.t) (c : compiled) (plan_t : t) :
-    (Xdm.Item.seq * t) option =
+let structural (cat : catalog) (c : compiled) (plan_t : t) :
+    ((Xquery.Ctx.t -> Xdm.Node.t -> Xdm.Node.t list option) * t) option =
   match struct_shape c.c_query.Xquery.Ast.body with
   | None -> None
-  | Some (coll, first, steps) -> (
+  | Some (coll, steps) -> (
       match sindex_for cat coll with
       | None -> None
       | Some sidx ->
           let iname = sidx.S.def.S.iname in
-          let nav_steps =
-            List.map
-              (fun (axis, test) -> Xquery.Ast.SAxis { axis; test; preds = [] })
-              steps
-          in
-          let per_doc (cctx : Xquery.Ctx.t) (it : Xdm.Item.t) : Xdm.Item.seq =
-            match it with
-            | Xdm.Item.N root -> (
-                match
-                  S.query ~prof:cctx.Xquery.Ctx.prof sidx root steps
-                with
-                | Some nodes ->
-                    List.map Xdm.Item.of_node (Xdm.Item.doc_order_dedup nodes)
-                | None -> Xquery.Eval.eval_steps cctx [ it ] nav_steps)
-            | Xdm.Item.A _ ->
-                (* not a node: let the tree-walk evaluator raise its
-                   usual mixed-path type error *)
-                Xquery.Eval.eval_steps cctx [ it ] nav_steps
-          in
-          let result =
-            Xprof.spanned ~rows:List.length prof "XQUERY" (fun () ->
-                let docs =
-                  Xquery.Eval.eval ctx
-                    (Xquery.Ast.EPath (Xquery.Ast.Relative, [ first ]))
-                in
-                Xprof.spanned ~rows:List.length prof
-                  ("PSTRUCTJOIN " ^ iname)
-                  (fun () ->
-                    match docs with
-                    | ([] | [ _ ]) when parallelism > 1 ->
-                        List.concat_map (per_doc ctx) docs
-                    | _ when parallelism <= 1 ->
-                        List.concat_map (per_doc ctx) docs
-                    | _ ->
-                        let profiled = ctx.Xquery.Ctx.prof.Xprof.on in
-                        let slots =
-                          Xpar.map_chunks ~parallelism ?chunk_size
-                            (fun _ chunk ->
-                              let cprof =
-                                if profiled then begin
-                                  let p = Xprof.create () in
-                                  Xprof.enable p true;
-                                  p
-                                end
-                                else Xprof.disabled
-                              in
-                              let cctx =
-                                {
-                                  ctx with
-                                  Xquery.Ctx.meter =
-                                    Xdm.Limits.fork ctx.Xquery.Ctx.meter;
-                                  prof = cprof;
-                                }
-                              in
-                              let out =
-                                List.concat_map (per_doc cctx)
-                                  (Array.to_list chunk)
-                              in
-                              (cprof, out))
-                            (Array.of_list docs)
-                        in
-                        Xprof.par ctx.Xquery.Ctx.prof
-                          ~chunks:(Array.length slots);
-                        let err = ref None in
-                        let outs =
-                          Array.fold_left
-                            (fun acc slot ->
-                              match slot with
-                              | Ok (cprof, out) ->
-                                  if profiled then
-                                    Xprof.absorb ~into:ctx.Xquery.Ctx.prof
-                                      cprof;
-                                  out :: acc
-                              | Error e ->
-                                  if Option.is_none !err then err := Some e;
-                                  acc)
-                            [] slots
-                        in
-                        (match !err with Some e -> raise e | None -> ());
-                        List.concat (List.rev outs)))
+          let join (ctx : Xquery.Ctx.t) root =
+            let prof = ctx.Xquery.Ctx.prof in
+            Xprof.spanned prof ("PSTRUCTJOIN " ^ iname) (fun () ->
+                S.query ~prof sidx root steps)
           in
           let step_notes =
             List.map
@@ -670,7 +540,7 @@ let try_structural ~(prof : Xprof.t) ~parallelism ?chunk_size (cat : catalog)
             :: step_notes
           in
           Some
-            ( result,
+            ( join,
               {
                 plan_t with
                 notes = plan_t.notes @ notes;
@@ -693,73 +563,44 @@ let nav_axis_notes (c : compiled) (plan_t : t) : t =
       in
       { plan_t with notes = plan_t.notes @ notes }
 
-(** Plan and run a compiled query under runtime parameter bindings —
-    [run_xquery] minus the parse/resolve/analyze front half. *)
-let execute_compiled ?(limits = Xdm.Limits.unlimited) ?(prof = Xprof.disabled)
-    ?use_indexes ?vars ?(parallelism = 1) ?chunk_size (cat : catalog)
-    (c : compiled) : Xdm.Item.seq * t =
-  let ctx, plan_t, meter =
-    compiled_setup ~prof ?use_indexes ?vars ~parallelism ~limits cat c
+(** Plan a compiled query under runtime parameter bindings and return
+    its lazy producer, the plan and the statement's governor. Planning
+    (index probes) happens at the call; items are produced as the
+    consumer pulls — per document or per binding for the shapes
+    {!Xquery.Eval.eval_lazy} decomposes, in contiguous chunks when
+    [parallelism > 1] — so an early-closed cursor stops consuming the
+    meter's budget. Materializing is [List.of_seq]. *)
+let execute ?(limits = Xdm.Limits.unlimited) ?(prof = Xprof.disabled)
+    ?(use_indexes = true) ?(vars : (string * Xdm.Item.seq) list = [])
+    ?(parallelism = 1) ?chunk_size (cat : catalog) (c : compiled) :
+    Xdm.Item.t Seq.t * t * Xdm.Limits.meter =
+  let plan_t =
+    if use_indexes then begin
+      let params, xml_bindings = split_bindings vars in
+      (* planning itself probes indexes; span it so index probe time
+         shows up under PLAN rather than inside the XQUERY operator *)
+      Xprof.spanned prof "PLAN" (fun () ->
+          plan ~params ~xml_bindings ~parallelism ~prof cat c.c_tree)
+    end
+    else no_index_plan
   in
-  let structural =
-    if Option.value use_indexes ~default:true then
-      try_structural ~prof ~parallelism ?chunk_size cat ctx c plan_t
-    else None
+  let resolver =
+    Storage.Database.resolver ~prof ~restrict_to:plan_t.restrictions cat.db
   in
-  let result, plan_t =
-    match structural with
-    | Some (items, plan') -> (items, plan')
-    | None ->
-        let r =
-          Xprof.spanned ~rows:List.length prof "XQUERY" (fun () ->
-              if parallelism > 1 then
-                Xquery.Eval.eval_par ~parallelism ?chunk_size ctx
-                  c.c_query.Xquery.Ast.body
-              else Xquery.Eval.eval ctx c.c_query.Xquery.Ast.body)
-        in
-        (r, nav_axis_notes c plan_t)
-  in
-  Xprof.set_governor prof (Xdm.Limits.usage meter);
-  (result, plan_t)
-
-(** Streaming execution of a compiled query: planning (index probes)
-    happens eagerly, items are produced as the consumer pulls. The
-    returned meter is the statement's governor — charged during pulls, so
-    an early-closed cursor stops consuming budget; read
-    [Xdm.Limits.usage] on it when the cursor closes. *)
-let execute_compiled_seq ?(limits = Xdm.Limits.unlimited)
-    ?(prof = Xprof.disabled) ?use_indexes ?vars (cat : catalog)
-    (c : compiled) : Xdm.Item.t Seq.t * t * Xdm.Limits.meter =
-  let ctx, plan_t, meter =
-    compiled_setup ~prof ?use_indexes ?vars ~limits cat c
-  in
-  let structural =
-    if Option.value use_indexes ~default:true then
-      try_structural ~prof ~parallelism:1 cat ctx c plan_t
-    else None
-  in
-  match structural with
-  | Some (items, plan') -> (List.to_seq items, plan', meter)
-  | None ->
-      ( Xquery.Eval.eval_seq ctx c.c_query.Xquery.Ast.body,
-        nav_axis_notes c plan_t,
-        meter )
-
-(** Execute without any index use (the baseline collection scan). *)
-let run_xquery_noindex ?(limits = Xdm.Limits.unlimited)
-    ?(prof = Xprof.disabled) (cat : catalog) (src : string) : Xdm.Item.seq =
-  let q = Xquery.Parser.parse_query src in
-  let q = Xquery.Static.resolve q in
-  let resolver = Storage.Database.resolver ~prof cat.db in
   let meter = Xdm.Limits.meter ~limits () in
   let ctx =
     Xquery.Ctx.init ~resolver
-      ~construction_preserve:q.Xquery.Ast.prolog.Xquery.Ast.construction_preserve
+      ~construction_preserve:
+        c.c_query.Xquery.Ast.prolog.Xquery.Ast.construction_preserve
       ~meter ~prof ()
   in
-  let result =
-    Xprof.spanned ~rows:List.length prof "XQUERY" (fun () ->
-        Xquery.Eval.eval ctx q.Xquery.Ast.body)
+  let ctx = Xquery.Ctx.bind_all ctx vars in
+  let join, plan_t =
+    match if use_indexes then structural cat c plan_t else None with
+    | Some (join, plan_t) -> (Some join, plan_t)
+    | None -> (None, nav_axis_notes c plan_t)
   in
-  Xprof.set_governor prof (Xdm.Limits.usage meter);
-  result
+  ( Xquery.Eval.eval_lazy ?join ~parallelism ?chunk_size ctx
+      c.c_query.Xquery.Ast.body,
+    plan_t,
+    meter )

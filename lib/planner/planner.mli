@@ -69,10 +69,17 @@ val compiled_params : compiled -> string list
     [Xdm.Xerror.Error] on syntax or static errors. *)
 val compile : string -> compiled
 
-(** Plan and run a compiled query under runtime parameter bindings —
-    {!run_xquery} minus the parse/resolve/analyze front half.
-    [use_indexes] defaults to [true]; [vars] binds parameter slots. *)
-val execute_compiled :
+(** Plan a compiled query under runtime parameter bindings and return
+    its producer, the plan and the statement's governor. Planning (index
+    probes) happens at the call; items are produced as the consumer
+    pulls — per document or per [for] binding where the query
+    decomposes, through the structural join when the body is an axis
+    pipeline over a covered collection, in contiguous chunks when
+    [parallelism > 1]. Materializing is [List.of_seq]; a cursor that
+    closes early stops charging the meter. [use_indexes] defaults to
+    [true] ([false] is the baseline collection scan, Definition 1's
+    [Q(D)]); [vars] binds parameter slots. *)
+val execute :
   ?limits:Xdm.Limits.t ->
   ?prof:Xprof.t ->
   ?use_indexes:bool ->
@@ -81,37 +88,4 @@ val execute_compiled :
   ?chunk_size:int ->
   catalog ->
   compiled ->
-  Xdm.Item.seq * t
-
-(** Streaming execution of a compiled query: planning (index probes)
-    happens eagerly at the call, items are produced as the consumer
-    pulls. The returned meter is the statement's governor — charged
-    during pulls, so an early-closed cursor stops consuming budget. *)
-val execute_compiled_seq :
-  ?limits:Xdm.Limits.t ->
-  ?prof:Xprof.t ->
-  ?use_indexes:bool ->
-  ?vars:(string * Xdm.Item.seq) list ->
-  catalog ->
-  compiled ->
   Xdm.Item.t Seq.t * t * Xdm.Limits.meter
-
-(** {1 One-shot execution} *)
-
-(** Parse, analyze, plan and execute a stand-alone XQuery against the
-    database, using eligible indexes to pre-filter collections
-    (Definition 1's [Q(I(P, D))]). *)
-val run_xquery :
-  ?limits:Xdm.Limits.t ->
-  ?prof:Xprof.t ->
-  catalog ->
-  string ->
-  Xdm.Item.seq * t
-
-(** Execute without any index use (the baseline collection scan). *)
-val run_xquery_noindex :
-  ?limits:Xdm.Limits.t ->
-  ?prof:Xprof.t ->
-  catalog ->
-  string ->
-  Xdm.Item.seq

@@ -151,6 +151,21 @@ let set_params ctx ps = ctx.params <- ps
 (** Install (or clear) the transaction-level undo sink; see [txn_undo]. *)
 let set_txn_undo ctx u = ctx.txn_undo <- u
 
+(** A private context over [ctx]'s database and indexes: the same
+    settings and profile, its own parameters, EXPLAIN notes, memo tables
+    and meter. A cursor drains it lazily while other statements run on
+    [ctx]; it must not run DDL (catalog changes would stay private). *)
+let fork ctx =
+  {
+    ctx with
+    notes = [];
+    used = [];
+    params = [||];
+    resolved = Hashtbl.create 32;
+    embed_plans = Hashtbl.create 32;
+    meter = Xdm.Limits.meter ();
+  }
+
 (** The memo lock, so the engine can share one lock across the ephemeral
     contexts it builds over MVCC snapshots (creating a named lock per
     context would grow the Lockorder tables without bound). *)
@@ -785,8 +800,6 @@ let check_columns ctx (s : select) : unit =
     s.from;
   Option.iter walk_cond s.where
 
-type grow = GRow of SV.t list | GEnv of frame list
-
 (** Output column names of a SELECT ([*] expanded against the catalog). *)
 let select_columns ctx (s : select) : string list =
   List.concat_map
@@ -812,189 +825,139 @@ let select_columns ctx (s : select) : string list =
           ])
     s.sel_list
 
-let rec exec_select ctx (s : select) : result =
+let table_frame ~alias (t : Storage.Table.t) : Storage.Table.row -> frame =
+  let cols =
+    List.map
+      (fun (c : Storage.Table.col_def) -> c.Storage.Table.col_name)
+      t.Storage.Table.cols
+  in
+  fun r ->
+    {
+      f_alias = alias;
+      f_cols = cols;
+      f_vals = r.Storage.Table.values;
+      f_row_id = Some r.Storage.Table.row_id;
+      f_table = Some t.Storage.Table.name;
+    }
+
+(** The one FROM / restriction / WHERE producer. Column checking and
+    restriction planning happen at the call, so catalog errors raise at
+    open time; joined rows surface as the consumer pulls, each finished
+    by [f] once it passes WHERE — so the resource meter is charged
+    incrementally and a cursor closed after the first row never pays for
+    the rest of the scan. With [parallelism > 1] the innermost scan of a
+    single-table FROM runs [f] over contiguous row chunks (forced at the
+    first pull) and merges rows, notes and index-use sets in chunk order,
+    identical to the sequential run (see docs/PARALLELISM.md). *)
+let select_rows ctx (s : select) ~parallelism (f : ctx -> frame list -> 'a) :
+    'a Seq.t =
   ctx.notes <- [];
   ctx.used <- [];
   check_columns ctx s;
-  let grouped = has_aggregates s in
   let srcs = prepare_restrictions ctx s in
   let rel_conjuncts =
     match s.where with Some w -> conjuncts w | None -> []
   in
-  let out = ref [] in
-  (* [emit] finishes one joined row environment; it takes the context
-     and accumulator explicitly so parallel scan chunks can run it
-     against a forked meter / private profile / private note lists. *)
-  let emit ectx eout (env : frame list) =
-    let keep =
-      match s.where with
-      | None -> true
-      | Some w -> eval_cond ectx env w = Some true
-    in
-    if keep then
-      if grouped then eout := ([], [ GEnv env ]) :: !eout
-      else
-        let keys =
-          List.map (fun (e, asc) -> (eval_sexpr ectx env e, asc)) s.order_by
-        in
-        eout := (keys, [ GRow (project ectx env s.sel_list) ]) :: !eout
+  let finish c env =
+    match s.where with
+    | Some w when eval_cond c env w <> Some true -> None
+    | _ -> Some (f c env)
   in
-  (* Partitioned scan: contiguous row chunks, per-chunk predicate and
-     projection evaluation, order-preserving merge — so the produced
-     rows, notes and index-use sets are identical to a sequential scan
-     (chunk = contiguous row range; see docs/PARALLELISM.md). Only the
-     innermost position of a single-table FROM is partitioned, so
-     chunks never recurse into [loop]. *)
-  let parallel_scan ~alias ~name (t : Storage.Table.t) rows =
-    let cols =
-      List.map (fun c -> c.Storage.Table.col_name) t.Storage.Table.cols
+  let many = function _ :: _ :: _ -> true | _ -> false in
+  (* one joined row: charge it, then build its frame and continue the
+     FROM list *)
+  let rec step c env rest frame =
+    Xdm.Limits.tick c.meter;
+    Xprof.row c.prof;
+    envs c (frame () :: env) rest ()
+  and chunked frame (rows : Storage.Table.row array) () =
+    let slices =
+      Xquery.Ctx.chunked ~parallelism ~meter:ctx.meter ~prof:ctx.prof
+        (fun meter prof chunk ->
+          let c = { ctx with meter; prof; notes = []; used = [] } in
+          ( c,
+            List.concat_map
+              (fun r ->
+                List.of_seq (fun () -> step c [] [] (fun () -> frame r)))
+              (Array.to_list chunk) ))
+        rows
     in
-    let profiled = ctx.prof.Xprof.on in
-    let slots =
-      Xpar.map_chunks ~parallelism:ctx.parallelism
-        (fun _ chunk ->
-          let prof =
-            if profiled then begin
-              let p = Xprof.create () in
-              Xprof.enable p true;
-              p
-            end
-            else Xprof.disabled
-          in
-          let cctx =
-            {
-              ctx with
-              meter = Xdm.Limits.fork ctx.meter;
-              prof;
-              notes = [];
-              used = [];
-            }
-          in
-          let cout = ref [] in
-          Array.iter
-            (fun (r : Storage.Table.row) ->
-              Xdm.Limits.tick cctx.meter;
-              Xprof.row cctx.prof;
-              let frame =
-                {
-                  f_alias = alias;
-                  f_cols = cols;
-                  f_vals = r.Storage.Table.values;
-                  f_row_id = Some r.Storage.Table.row_id;
-                  f_table = Some name;
-                }
-              in
-              emit cctx cout [ frame ])
-            chunk;
-          (cctx, List.rev !cout))
-        (Array.of_list rows)
-    in
-    Xprof.par ctx.prof ~chunks:(Array.length slots);
-    let err = ref None in
-    let merged =
-      Array.fold_left
-        (fun acc slot ->
-          match slot with
-          | Ok (cctx, fwd) ->
-              if profiled then Xprof.absorb ~into:ctx.prof cctx.prof;
-              ctx.notes <- cctx.notes @ ctx.notes;
-              if cctx.used <> [] then
-                ctx.used <- List.sort_uniq compare (cctx.used @ ctx.used);
-              fwd :: acc
-          | Error e ->
-              if Option.is_none !err then err := Some e;
-              acc)
-        [] slots
-    in
-    (match !err with Some e -> raise e | None -> ());
-    out := List.rev_append (List.concat (List.rev merged)) !out
-  in
-  let rec loop (env : frame list) = function
-    | [] -> emit ctx out env
+    List.iter
+      (fun (c, _) ->
+        ctx.notes <- c.notes @ ctx.notes;
+        if c.used <> [] then
+          ctx.used <- List.sort_uniq compare (c.used @ ctx.used))
+      slices;
+    List.to_seq (List.concat_map snd slices) ()
+  and envs c (env : frame list) (from : table_ref list) : 'a Seq.t =
+    match from with
+    | [] -> ( match finish c env with Some x -> Seq.return x | None -> Seq.empty)
     | TRTable { name; alias } :: rest ->
-        let t = Storage.Database.table_exn ctx.db name in
-        let restriction =
-          table_restriction ctx srcs rel_conjuncts env ~alias t
-        in
-        let rows = Storage.Table.rows t in
-        let rows =
-          match restriction with
-          | None -> rows
-          | Some keep ->
-              List.filter
-                (fun (r : Storage.Table.row) ->
-                  Xdm.Int_set.mem r.Storage.Table.row_id keep)
-                rows
-        in
-        let many = match rows with _ :: _ :: _ -> true | _ -> false in
-        if rest = [] && env = [] && ctx.parallelism > 1 && many then
-          Xprof.spanned ctx.prof ("SCAN " ^ alias) (fun () ->
-              parallel_scan ~alias ~name t rows)
-        else
-          Xprof.spanned ctx.prof ("SCAN " ^ alias) (fun () ->
-              List.iter
-                (fun (r : Storage.Table.row) ->
-                  Xdm.Limits.tick ctx.meter;
-                  Xprof.row ctx.prof;
-                  let frame =
-                    {
-                      f_alias = alias;
-                      f_cols =
-                        List.map
-                          (fun c -> c.Storage.Table.col_name)
-                          t.Storage.Table.cols;
-                      f_vals = r.Storage.Table.values;
-                      f_row_id = Some r.Storage.Table.row_id;
-                      f_table = Some name;
-                    }
-                  in
-                  loop (frame :: env) rest)
-                rows)
+        fun () ->
+          let t = Storage.Database.table_exn c.db name in
+          let restriction =
+            table_restriction c srcs rel_conjuncts env ~alias t
+          in
+          let rows = Storage.Table.rows t in
+          let rows =
+            match restriction with
+            | None -> rows
+            | Some keep ->
+                List.filter
+                  (fun (r : Storage.Table.row) ->
+                    Xdm.Int_set.mem r.Storage.Table.row_id keep)
+                  rows
+          in
+          let frame = table_frame ~alias t in
+          Xprof.spanned_seq c.prof ("SCAN " ^ alias)
+            (if rest = [] && env = [] && parallelism > 1 && many rows then
+               chunked frame (Array.of_list rows)
+             else
+               Seq.concat_map
+                 (fun r () -> step c env rest (fun () -> frame r))
+                 (List.to_seq rows))
+            ()
     | TRXmlTable xt :: rest ->
-        let items = eval_embed ctx env xt.xt_embed in
-        let colnames =
-          if xt.xt_colnames <> [] then xt.xt_colnames
-          else List.map (fun c -> c.xc_name) xt.xt_cols
-        in
-        Xprof.spanned ctx.prof ("XMLTABLE " ^ xt.xt_alias) (fun () ->
-            List.iter
-              (fun item ->
-                Xdm.Limits.tick ctx.meter;
-                Xprof.row ctx.prof;
-                let vals =
-                  Array.of_list
-                    (List.map (fun c -> xmltable_column ctx item c) xt.xt_cols)
-                in
-                let frame =
-                  {
-                    f_alias = xt.xt_alias;
-                    f_cols = colnames;
-                    f_vals = vals;
-                    f_row_id = None;
-                    f_table = None;
-                  }
-                in
-                loop (frame :: env) rest)
-              items)
+        fun () ->
+          let items = eval_embed c env xt.xt_embed in
+          let colnames =
+            if xt.xt_colnames <> [] then xt.xt_colnames
+            else List.map (fun col -> col.xc_name) xt.xt_cols
+          in
+          Xprof.spanned_seq c.prof ("XMLTABLE " ^ xt.xt_alias)
+            (Seq.concat_map
+               (fun item () ->
+                 step c env rest (fun () ->
+                     {
+                       f_alias = xt.xt_alias;
+                       f_cols = colnames;
+                       f_vals =
+                         Array.of_list
+                           (List.map (xmltable_column c item) xt.xt_cols);
+                       f_row_id = None;
+                       f_table = None;
+                     }))
+               (List.to_seq items))
+            ()
   in
-  loop [] s.from;
-  let cols = select_columns ctx s in
-  let rows = List.rev !out in
+  envs ctx [] s.from
+
+(** Strict SELECT: drain the producer, then the GROUP BY and ORDER BY
+    barriers, then LIMIT. *)
+let rec exec_select ctx (s : select) : result =
+  let drain f =
+    List.of_seq (select_rows ctx s ~parallelism:ctx.parallelism f)
+  in
   (* Grouped projection: partition captured environments by GROUP BY key
      values, then evaluate the select list once per group (aggregates over
      the group's environments, other expressions on a representative). *)
   let rows =
-    if not grouped then
-      List.map
-        (fun (k, g) ->
-          match g with [ GRow r ] -> (k, r) | _ -> assert false)
-        rows
+    if not (has_aggregates s) then
+      drain (fun c env ->
+          ( List.map (fun (e, asc) -> (eval_sexpr c env e, asc)) s.order_by,
+            project c env s.sel_list ))
     else begin
-      let envs =
-        List.map
-          (fun (_, g) -> match g with [ GEnv e ] -> e | _ -> assert false)
-          rows
-      in
+      let envs = drain (fun _ env -> env) in
       let groups = Hashtbl.create 16 in
       let order = ref [] in
       List.iter
@@ -1058,7 +1021,7 @@ let rec exec_select ctx (s : select) : result =
     | None -> rows
     | Some n -> List.filteri (fun i _ -> i < n) rows
   in
-  { rcols = cols; rrows = List.map snd rows }
+  { rcols = select_columns ctx s; rrows = List.map snd rows }
 
 and eval_agg ctx (genvs : frame list list) (rep : frame list) (e : sexpr) :
     SV.t =
@@ -1143,98 +1106,6 @@ and project ctx (env : frame list) (items : sel_item list) : SV.t list =
           List.concat_map (fun f -> Array.to_list f.f_vals) (List.rev env)
       | SelExpr (e, _) -> [ eval_sexpr ctx env e ])
     items
-
-(* ------------------------------------------------------------------ *)
-(* Streaming SELECT                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Lazy row production for a streamable SELECT (no grouping, no ORDER
-    BY). Rows surface as the consumer pulls them, so the resource meter is
-    charged incrementally — a cursor closed after the first row never pays
-    for the rest of the scan. Column checking and restriction planning
-    still happen eagerly, so catalog errors raise at open time. *)
-let select_seq ctx (s : select) : SV.t list Seq.t =
-  ctx.notes <- [];
-  ctx.used <- [];
-  check_columns ctx s;
-  let srcs = prepare_restrictions ctx s in
-  let rel_conjuncts =
-    match s.where with Some w -> conjuncts w | None -> []
-  in
-  let rec envs (env : frame list) (from : table_ref list) : frame list Seq.t =
-    match from with
-    | [] ->
-        let keep =
-          match s.where with
-          | None -> true
-          | Some w -> eval_cond ctx env w = Some true
-        in
-        if keep then Seq.return env else Seq.empty
-    | TRTable { name; alias } :: rest ->
-        fun () ->
-          let t = Storage.Database.table_exn ctx.db name in
-          let restriction =
-            table_restriction ctx srcs rel_conjuncts env ~alias t
-          in
-          let rows = Storage.Table.rows t in
-          let rows =
-            match restriction with
-            | None -> rows
-            | Some keep ->
-                List.filter
-                  (fun (r : Storage.Table.row) ->
-                    Xdm.Int_set.mem r.Storage.Table.row_id keep)
-                  rows
-          in
-          let cols =
-            List.map
-              (fun (c : Storage.Table.col_def) -> c.Storage.Table.col_name)
-              t.Storage.Table.cols
-          in
-          Seq.concat_map
-            (fun (r : Storage.Table.row) () ->
-              Xdm.Limits.tick ctx.meter;
-              Xprof.row ctx.prof;
-              let frame =
-                {
-                  f_alias = alias;
-                  f_cols = cols;
-                  f_vals = r.Storage.Table.values;
-                  f_row_id = Some r.Storage.Table.row_id;
-                  f_table = Some name;
-                }
-              in
-              envs (frame :: env) rest ())
-            (List.to_seq rows) ()
-    | TRXmlTable xt :: rest ->
-        fun () ->
-          let items = eval_embed ctx env xt.xt_embed in
-          let colnames =
-            if xt.xt_colnames <> [] then xt.xt_colnames
-            else List.map (fun c -> c.xc_name) xt.xt_cols
-          in
-          Seq.concat_map
-            (fun item () ->
-              Xdm.Limits.tick ctx.meter;
-              Xprof.row ctx.prof;
-              let vals =
-                Array.of_list
-                  (List.map (fun c -> xmltable_column ctx item c) xt.xt_cols)
-              in
-              let frame =
-                {
-                  f_alias = xt.xt_alias;
-                  f_cols = colnames;
-                  f_vals = vals;
-                  f_row_id = None;
-                  f_table = None;
-                }
-              in
-              envs (frame :: env) rest ())
-            (List.to_seq items) ()
-  in
-  let rows = Seq.map (fun env -> project ctx env s.sel_list) (envs [] s.from) in
-  match s.limit with None -> rows | Some n -> Seq.take n rows
 
 (* ------------------------------------------------------------------ *)
 (* DDL / DML / entry point                                             *)
@@ -1392,12 +1263,16 @@ let attach_struct_index ctx (d : Xmlindex.Structindex.def) : unit =
   ctx.sindexes <- idx :: ctx.sindexes;
   bump_catalog_gen ctx
 
-(** Register an existing structural index object without wiring hooks —
-    for read-only snapshot contexts, which share the publisher's index
-    (encodings are immutable per-doc arrays; a missing entry falls back
-    to tree-walk) and never mutate tables. *)
-let adopt_struct_index ctx (idx : Xmlindex.Structindex.t) : unit =
-  ctx.sindexes <- idx :: ctx.sindexes
+(** Register existing index objects without wiring hooks — for read-only
+    snapshot contexts, which share the publisher's indexes (snapshot
+    index views, immutable per-doc encodings whose missing entries fall
+    back to tree-walk) and never mutate tables. Hooks would be dead
+    weight there: snapshot tables are reused across statements until a
+    writer touches them, so each statement would stack one more. *)
+let adopt_indexes ctx ~xml ~rel ~structural : unit =
+  ctx.xindexes <- xml;
+  ctx.rindexes <- rel;
+  ctx.sindexes <- structural
 
 (** Wire hooks for a new structural index and backfill it from existing
     rows. The pure encoding pass (preorder walk → pre/post/parent/level
@@ -1439,18 +1314,6 @@ let install_struct_index ctx (d : Xmlindex.Structindex.def) :
       backfill;
   ctx.sindexes <- idx :: ctx.sindexes;
   idx
-
-let table_frame ~alias (t : Storage.Table.t) (r : Storage.Table.row) : frame =
-  {
-    f_alias = alias;
-    f_cols =
-      List.map
-        (fun (c : Storage.Table.col_def) -> c.Storage.Table.col_name)
-        t.Storage.Table.cols;
-    f_vals = r.Storage.Table.values;
-    f_row_id = Some r.Storage.Table.row_id;
-    f_table = Some t.Storage.Table.name;
-  }
 
 (** Execute one SQL/XML statement with statement-level atomicity: every
     table/index mutation records its compensation in a per-statement undo
@@ -1675,17 +1538,21 @@ let translate_unbound (seq : 'a Seq.t) : 'a Seq.t =
   in
   go seq
 
-(** Execute a statement for cursor consumption: streamable SELECTs (no
-    grouping, no ORDER BY) produce rows lazily under a fresh resource
-    meter; everything else runs through the strict, atomic [exec] and
-    replays its materialized rows. *)
+(** Execute a statement for cursor consumption: a SELECT without a GROUP
+    BY or ORDER BY barrier streams off {!select_rows} under a fresh
+    resource meter; everything else runs through the strict, atomic
+    [exec] and replays its materialized rows. *)
 let exec_seq ctx (stmt : stmt) : string list * SV.t list Seq.t =
   match stmt with
   | Select s when (not (has_aggregates s)) && s.order_by = [] ->
       Hashtbl.reset ctx.embed_plans;
       ctx.meter <- Xdm.Limits.meter ~limits:ctx.limits ();
       let cols = select_columns ctx s in
-      (cols, translate_unbound (select_seq ctx s))
+      let rows =
+        select_rows ctx s ~parallelism:1 (fun c env -> project c env s.sel_list)
+      in
+      let rows = match s.limit with None -> rows | Some n -> Seq.take n rows in
+      (cols, translate_unbound rows)
   | _ ->
       let r = exec ctx stmt in
       (r.rcols, List.to_seq r.rrows)

@@ -469,6 +469,20 @@ let spanned ?rows p name (f : unit -> 'a) : 'a =
         raise ex
   end
 
+(** A lazily produced sequence under a span: every pull is one execution
+    of [name], timing the production of one element (the inclusive time
+    of whatever that pull forces) and counting it as a row. A producer
+    pulled through a consumer nests exactly as its eager form would:
+    pulling an outer scan forces the inner one inside the outer span. *)
+let spanned_seq p name (s : 'a Seq.t) : 'a Seq.t =
+  let rows = function Seq.Cons _ -> 1 | Seq.Nil -> 0 in
+  let rec go s () =
+    match spanned ~rows p name s with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (x, tl) -> Seq.Cons (x, go tl)
+  in
+  if p.on then go s else s
+
 (** Merge a per-chunk child profile into [into]: counters are summed and
     the child's operator tree is grafted under [into]'s innermost open
     span. The parallel executor gives each chunk a private profile (the

@@ -60,3 +60,36 @@ let context_node ctx =
   | Xdm.Item.N n -> n
   | Xdm.Item.A _ ->
       Xdm.Xerror.type_error "context item is not a node"
+
+(** Run [f] over contiguous chunks of [items] in parallel: the one
+    chunk-merge helper behind every chunked producer. Each chunk gets a
+    forked view of [meter] (the step/node budget stays shared, so
+    [XQDB0001] fires as in a sequential run) and a private profile (span
+    stacks are not domain-safe). After the join the first chunk error is
+    re-raised, else the profiles are absorbed into [prof] in chunk order,
+    so results and counters match a sequential run. Returns the chunk
+    results in chunk order. *)
+let chunked ~parallelism ?chunk_size ~(meter : Xdm.Limits.meter)
+    ~(prof : Xprof.t) (f : Xdm.Limits.meter -> Xprof.t -> 'a array -> 'b)
+    (items : 'a array) : 'b list =
+  let profiled = prof.Xprof.on in
+  let slots =
+    Xpar.map_chunks ~parallelism ?chunk_size
+      (fun _ chunk ->
+        let cprof =
+          if profiled then begin
+            let p = Xprof.create () in
+            Xprof.enable p true;
+            p
+          end
+          else Xprof.disabled
+        in
+        (cprof, f (Xdm.Limits.fork meter) cprof chunk))
+      items
+  in
+  Xprof.par prof ~chunks:(Array.length slots);
+  List.map
+    (fun (cprof, out) ->
+      if profiled then Xprof.absorb ~into:prof cprof;
+      out)
+    (Array.to_list (Xpar.join slots))

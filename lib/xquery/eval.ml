@@ -273,7 +273,7 @@ and eval_path ctx start steps : Item.seq =
   eval_steps ctx initial steps
 
 (** Evaluate the remaining steps of a path from an already-computed
-    current sequence. Exposed (via [eval_seq]) so streaming execution can
+    current sequence. Exposed (via [eval_lazy]) so streaming execution can
     run the tail of a path per document. *)
 and eval_steps ctx (current : Item.seq) (steps : step list) : Item.seq =
   match steps with
@@ -540,129 +540,106 @@ let run ?(resolver : (string -> Item.seq) option)
 let run_string ?resolver ?vars ?limits ?prof (src : string) : Item.seq =
   run ?resolver ?vars ?limits ?prof (Parser.parse_query src)
 
-(* ------------------------- streaming ------------------------------ *)
+(* ------------------------ lazy production ------------------------- *)
 
-(* Streaming is sound only where producing results incrementally cannot
-   change their order or multiplicity:
+(* One pipeline for the streaming and the chunked consumer. An
+   expression that decomposes becomes a list of independent units, each
+   producing its slice of the result; the slices, concatenated in unit
+   order, are exactly the strict result. Two shapes decompose:
 
-   - a relative path whose first step is a primary expression (the
-     [db2-fn:xmlcolumn(...)/...] shape): the first step's output is
-     sorted/deduped strictly, and since document order across trees
-     follows root creation order, evaluating the remaining steps one
-     document at a time emits exactly the strict result (each tree's
-     results are contiguous and internally sorted);
+   - a path whose first step is a primary expression (the
+     [db2-fn:xmlcolumn(...)/...] shape) and whose other steps are all
+     axis steps. The first step's output is sorted/deduped strictly; an
+     axis step never leaves a node's tree, and document order across
+     trees follows root order, so one unit per tree (its nodes of the
+     first step's output) emits each tree's results contiguously and in
+     order;
    - a FLWOR whose clauses contain no [order by]: tuple production is
      depth-first per binding item, which matches the strict clause-wise
-     expansion order.
+     expansion order. One unit per item of the first [for] source.
 
-   Everything else falls back to strict evaluation, delayed until the
-   first pull so an unconsumed cursor costs nothing. *)
+   The unit source (first-step output / the [for] source) is evaluated
+   strictly, in the consumer's domain, so any tree sorting or renumbering
+   it triggers happens before chunks run. Everything else falls back to
+   strict evaluation, delayed until the first pull so an unconsumed
+   cursor costs nothing. *)
 
 let has_order (clauses : clause list) =
   List.exists (function COrder _ -> true | _ -> false) clauses
 
-(** Evaluate to a lazily-produced sequence. Resource-meter and profile
+(** Consecutive runs of nodes sharing a root (the input is in document
+    order, so each tree's nodes are contiguous). *)
+let group_by_tree (nodes : Node.t list) : Node.t list list =
+  let rec go acc cur = function
+    | [] -> List.rev (List.rev cur :: acc)
+    | n :: rest -> (
+        match cur with
+        | m :: _ when (Node.root m).Node.id <> (Node.root n).Node.id ->
+            go (List.rev cur :: acc) [ n ] rest
+        | _ -> go acc (n :: cur) rest)
+  in
+  match nodes with [] -> [] | _ -> go [] [] nodes
+
+(** Evaluate to a lazily produced sequence. With [parallelism > 1] the
+    units run in contiguous chunks through {!Ctx.chunked} (forced at the
+    first pull); otherwise they stream, and resource-meter and profile
     charges happen as the consumer pulls, so closing a cursor early stops
-    the spend (the governor test relies on this). *)
-let rec eval_seq (ctx : Ctx.t) (e : expr) : Item.t Seq.t =
+    the spend. [join] plugs a per-tree evaluator into the path shape: a
+    tree whose output is one root node is handed to it, and [None] means
+    "walk the tree" — the planner's structural join uses this. *)
+let rec eval_lazy ?join ?(parallelism = 1) ?chunk_size (ctx : Ctx.t)
+    (e : expr) : Item.t Seq.t =
+ fun () ->
+  match units ?join ctx e with
+  | None -> List.to_seq (eval ctx e) ()
+  | Some units when parallelism <= 1 || List.compare_length_with units 1 <= 0
+    ->
+      Seq.concat_map (fun u -> u ctx) (List.to_seq units) ()
+  | Some units ->
+      let slices =
+        Ctx.chunked ~parallelism ?chunk_size ~meter:ctx.Ctx.meter
+          ~prof:ctx.Ctx.prof
+          (fun meter prof chunk ->
+            let c = { ctx with Ctx.meter; prof } in
+            List.concat_map (fun u -> List.of_seq (u c)) (Array.to_list chunk))
+          (Array.of_list units)
+      in
+      List.to_seq (List.concat slices) ()
+
+and units ?join (ctx : Ctx.t) (e : expr) :
+    (Ctx.t -> Item.t Seq.t) list option =
   match e with
   | EPath (Relative, (SExpr _ as first) :: (_ :: _ as rest))
-    when ctx.Ctx.item = None ->
-      fun () ->
-        let docs = eval ctx (EPath (Relative, [ first ])) in
-        Seq.concat_map
-          (fun doc -> List.to_seq (eval_steps ctx [ doc ] rest))
-          (List.to_seq docs)
-          ()
+    when ctx.Ctx.item = None
+         && List.for_all (function SAxis _ -> true | SExpr _ -> false) rest ->
+      let nodes =
+        match Item.nodes_of_seq (eval ctx (EPath (Relative, [ first ]))) with
+        | Some nodes -> nodes
+        | None ->
+            Xerror.mixed_path "intermediate path step produced non-node items"
+      in
+      let walk c tree = eval_steps c (List.map Item.of_node tree) rest in
+      Some
+        (List.map
+           (fun tree c ->
+             List.to_seq
+               (match (join, tree) with
+               | Some j, [ root ] when root.Node.parent = None -> (
+                   match j c root with
+                   | Some found ->
+                       List.map Item.of_node (Item.doc_order_dedup found)
+                   | None -> walk c tree)
+               | _ -> walk c tree))
+           (group_by_tree nodes))
   | EFlwor ((CFor ((v, src) :: more) :: restc as clauses), ret)
     when not (has_order clauses) ->
-      let restc = if more = [] then restc else CFor more :: restc in
-      fun () ->
-        let items = eval ctx src in
-        Seq.concat_map
-          (fun item ->
-            let inner = Ctx.bind ctx v [ item ] in
-            match restc with
-            | [] -> eval_seq inner ret
-            | _ -> eval_seq inner (EFlwor (restc, ret)))
-          (List.to_seq items)
-          ()
-  | _ -> fun () -> List.to_seq (eval ctx e) ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel evaluation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Chunked parallel evaluation over the same two decompositions as
-   [eval_seq] — and sound for the same reasons: per-document step
-   evaluation and per-binding tuple expansion are independent, and the
-   order-preserving chunk merge re-assembles exactly the strict result.
-   The chunk source (first-step output / the [for] source) is evaluated
-   in the parent domain, so any tree sorting or renumbering it triggers
-   happens before chunks run. Each chunk gets a forked meter view
-   (shared atomic step/node budget — XQDB0001 still fires process-wide)
-   and a private profile, absorbed in chunk order after the join so a
-   profiled parallel run reports deterministic totals. Everything else
-   falls back to strict evaluation. *)
-
-let eval_par ~parallelism ?chunk_size (ctx : Ctx.t) (e : expr) : Item.seq =
-  let chunked (items : Item.seq) (per_item : Ctx.t -> Item.t -> Item.seq) :
-      Item.seq =
-    match items with
-    | [] | [ _ ] -> List.concat_map (per_item ctx) items
-    | _ ->
-        let profiled = ctx.Ctx.prof.Xprof.on in
-        let slots =
-          Xpar.map_chunks ~parallelism ?chunk_size
-            (fun _ chunk ->
-              let prof =
-                if profiled then begin
-                  let p = Xprof.create () in
-                  Xprof.enable p true;
-                  p
-                end
-                else Xprof.disabled
-              in
-              let cctx =
-                { ctx with Ctx.meter = Limits.fork ctx.Ctx.meter; prof }
-              in
-              let out =
-                List.concat_map (per_item cctx) (Array.to_list chunk)
-              in
-              (prof, out))
-            (Array.of_list items)
-        in
-        Xprof.par ctx.Ctx.prof ~chunks:(Array.length slots);
-        let err = ref None in
-        let outs =
-          Array.fold_left
-            (fun acc slot ->
-              match slot with
-              | Ok (prof, out) ->
-                  if profiled then Xprof.absorb ~into:ctx.Ctx.prof prof;
-                  out :: acc
-              | Error e ->
-                  if Option.is_none !err then err := Some e;
-                  acc)
-            [] slots
-        in
-        (match !err with Some e -> raise e | None -> ());
-        List.concat (List.rev outs)
-  in
-  if parallelism <= 1 then eval ctx e
-  else
-    match e with
-    | EPath (Relative, (SExpr _ as first) :: (_ :: _ as rest))
-      when ctx.Ctx.item = None ->
-        let docs = eval ctx (EPath (Relative, [ first ])) in
-        chunked docs (fun cctx doc -> eval_steps cctx [ doc ] rest)
-    | EFlwor ((CFor ((v, src) :: more) :: restc as clauses), ret)
-      when not (has_order clauses) ->
-        let restc = if more = [] then restc else CFor more :: restc in
-        let items = eval ctx src in
-        chunked items (fun cctx item ->
-            let inner = Ctx.bind cctx v [ item ] in
-            match restc with
-            | [] -> eval inner ret
-            | _ -> eval inner (EFlwor (restc, ret)))
-    | _ -> eval ctx e
+      let body =
+        match if more = [] then restc else CFor more :: restc with
+        | [] -> ret
+        | clauses -> EFlwor (clauses, ret)
+      in
+      Some
+        (List.map
+           (fun item c -> eval_lazy (Ctx.bind c v [ item ]) body)
+           (eval ctx src))
+  | _ -> None

@@ -130,7 +130,7 @@ let run_case (docs, query, idxs) =
     | exception Xdm.Xerror.Error e -> Error e.code
   in
   let scanned =
-    match Helpers.xquery_noindex db query with
+    match Helpers.xquery_strict db query with
     | r -> Ok (serial r)
     | exception Xdm.Xerror.Error e -> Error e.code
   in

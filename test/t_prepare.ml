@@ -254,6 +254,26 @@ let cursors =
           (Engine.Cursor.next cur = None);
         Engine.Cursor.close cur;
         Engine.Cursor.close cur (* idempotent *));
+    tc "cursor: bindings stay private while other statements run"
+      (fun () ->
+        let db = paper_db ~n_orders:12 () in
+        let src = "SELECT ordid FROM orders WHERE ordid = ?" in
+        let ordids (rows : SV.t list list) =
+          List.map (fun r -> String.concat "|" (List.map SV.to_display r)) rows
+        in
+        let cur = Engine.open_cursor ~params:[ SV.Int 3L ] db src in
+        let other = Engine.execute ~params:[ SV.Int 5L ] (Engine.prepare db src) in
+        check (Alcotest.list Alcotest.string) "interleaved statement" [ "5" ]
+          (ordids (Engine.outcome_rows other));
+        let rows =
+          Engine.Cursor.fold
+            (fun acc -> function
+              | Engine.Cursor.Row r -> r :: acc
+              | Engine.Cursor.Item _ -> Alcotest.fail "item from SQL cursor")
+            [] cur
+        in
+        check (Alcotest.list Alcotest.string) "cursor keeps its own binding"
+          [ "3" ] (ordids (List.rev rows)));
     tc "cursor: close stops production" (fun () ->
         let db = paper_db ~n_orders:12 () in
         let cur = Engine.open_cursor db "SELECT ordid FROM orders" in
@@ -323,6 +343,7 @@ let corpus_db =
        (sql db
           "CREATE INDEX c_custid ON customer(cdoc) USING XMLPATTERN \
            '/customer/id' AS DOUBLE");
+     ignore (sql db "CREATE STRUCTURAL INDEX s_ord ON orders(orddoc)");
      db)
 
 let corpus =
@@ -361,6 +382,13 @@ let corpus =
      $i/product/id = 'p3' return $i/quantity";
     "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') //order[lineitem[@price>100 \
      and @price<200]] return $i";
+    (* predicate-free axis pipelines: structural joins *)
+    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//id/ancestor::lineitem";
+    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem/preceding-sibling::*";
+    (* a first step yielding nested nodes of one tree, and a later step
+       reaching into other trees: neither may be split per node *)
+    "(db2-fn:xmlcolumn('ORDERS.ORDDOC')//*)//id";
+    "db2-fn:xmlcolumn('ORDERS.ORDDOC')/db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer";
   |]
 
 let prop_prepared_equiv =
@@ -371,23 +399,44 @@ let prop_prepared_equiv =
     (fun i ->
       let db = Lazy.force corpus_db in
       let src = corpus.(i) in
-      let direct = Engine.exec db src in
-      let st = Engine.prepare db src in
-      let via_prepare = Engine.execute st in
-      let cur = Engine.open_cursor db src in
-      let n_cursor = Engine.Cursor.fold (fun n _ -> n + 1) 0 cur in
-      Engine.Cursor.close cur;
-      let n_direct =
-        match direct.Engine.payload with
-        | Engine.Rows { rows; _ } -> List.length rows
-        | Engine.Items items -> List.length items
+      (* direct exec, prepared and cursor all decompose the query, so a
+         stand-alone XQuery is also held to strict evaluation *)
+      let strict =
+        lazy
+          (match xquery_strict db src with
+          | items -> Some (Engine.to_xml items)
+          | exception Xdm.Xerror.Error _ -> None)
       in
-      if render direct <> render via_prepare then
-        QCheck.Test.fail_reportf "prepared result differs on %s" src
-      else if n_cursor <> n_direct then
-        QCheck.Test.fail_reportf "cursor yields %d of %d on %s" n_cursor
-          n_direct src
-      else true)
+      let at par =
+        Engine.set_parallelism db par;
+        Fun.protect ~finally:(fun () -> Engine.set_parallelism db 1)
+        @@ fun () ->
+        let direct = Engine.exec db src in
+        let st = Engine.prepare db src in
+        let via_prepare = Engine.execute st in
+        let cur = Engine.open_cursor db src in
+        let n_cursor = Engine.Cursor.fold (fun n _ -> n + 1) 0 cur in
+        Engine.Cursor.close cur;
+        let n_direct =
+          match direct.Engine.payload with
+          | Engine.Rows { rows; _ } -> List.length rows
+          | Engine.Items items -> List.length items
+        in
+        if render direct <> render via_prepare then
+          QCheck.Test.fail_reportf "prepared result differs on %s at \
+                                    parallelism %d" src par
+        else if n_cursor <> n_direct then
+          QCheck.Test.fail_reportf "cursor yields %d of %d on %s at \
+                                    parallelism %d" n_cursor n_direct src par
+        else
+          match (direct.Engine.payload, Lazy.force strict) with
+          | Engine.Items items, Some expected
+            when Engine.to_xml items <> expected ->
+              QCheck.Test.fail_reportf "exec differs from strict on %s at \
+                                        parallelism %d" src par
+          | _ -> true
+      in
+      List.for_all at [ 1; 2; 4 ])
 
 let props = [ QCheck_alcotest.to_alcotest prop_prepared_equiv ]
 

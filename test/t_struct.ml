@@ -75,21 +75,26 @@ let snapshot ~indexes ~par db (src : string) : string =
       | o -> render o
       | exception Xdm.Xerror.Error { code; _ } -> "ERROR " ^ code)
 
-(** Structural (indexes on) ≡ navigational (indexes off) at every
-    parallelism level, byte-identical. *)
+(** The reference: strict tree-walk evaluation, outside the planner. *)
+let strict db (src : string) : string =
+  match xquery_strict db src with
+  | items -> Engine.to_xml items
+  | exception Xdm.Xerror.Error { code; _ } -> "ERROR " ^ code
+
+(** Structural (indexes on) ≡ navigational (indexes off) ≡ strict
+    tree-walk at every parallelism level, byte-identical. *)
 let assert_struct_diff db (id : string) (src : string) =
-  let base = snapshot ~indexes:false ~par:1 db src in
+  let base = strict db src in
   List.iter
     (fun par ->
       check Alcotest.string
         (Printf.sprintf "%s: structural par=%d ≡ tree-walk" id par)
         base
         (snapshot ~indexes:true ~par db src);
-      if par <> 1 then
-        check Alcotest.string
-          (Printf.sprintf "%s: tree-walk par=%d ≡ par=1" id par)
-          base
-          (snapshot ~indexes:false ~par db src))
+      check Alcotest.string
+        (Printf.sprintf "%s: tree-walk par=%d ≡ strict" id par)
+        base
+        (snapshot ~indexes:false ~par db src))
     levels
 
 (* ------------------------------------------------------------------ *)
@@ -250,9 +255,38 @@ let plan_tests =
         in
         let streamed = drain [] in
         Engine.Cursor.close cur;
-        let strict = Engine.outcome_items (Engine.exec db src) in
-        check Alcotest.string "cursor ≡ strict" (Engine.to_xml strict)
+        check Alcotest.string "cursor ≡ strict" (strict db src)
           (Engine.to_xml streamed));
+    tc "structural cursor joins one document per pull" (fun () ->
+        let db = mk_db () in
+        let src = orders ^ "//product/parent::lineitem" in
+        let sidx =
+          List.find
+            (fun (s : Xmlindex.Structindex.t) ->
+              s.Xmlindex.Structindex.def.Xmlindex.Structindex.iname = "s_ord")
+            (Engine.struct_indexes db)
+        in
+        let probes_during f =
+          let before = fst (Xmlindex.Structindex.stats sidx) in
+          f ();
+          fst (Xmlindex.Structindex.stats sidx) - before
+        in
+        let one_pull =
+          probes_during (fun () ->
+              let cur = Engine.open_cursor db src in
+              check Alcotest.bool "first pull" true
+                (Engine.Cursor.next cur <> None);
+              Engine.Cursor.close cur)
+        in
+        let drained =
+          probes_during (fun () ->
+              let cur = Engine.open_cursor db src in
+              ignore (Engine.Cursor.fold (fun n _ -> n + 1) 0 cur))
+        in
+        check Alcotest.bool
+          (Printf.sprintf "one pull probes %d < drained %d" one_pull drained)
+          true
+          (0 < one_pull && one_pull < drained));
     tc "DROP INDEX removes the structural index and its catalog entry"
       (fun () ->
         let db = mk_db () in
@@ -391,7 +425,7 @@ let prop_structural_equiv_nav =
       Engine.load_documents db ~table:"t" ~column:"doc" docs;
       ignore (sql db "CREATE STRUCTURAL INDEX s_t ON t(doc)");
       let src = special ^ steps in
-      let nav = snapshot ~indexes:false ~par:1 db src in
+      let nav = strict db src in
       let st = snapshot ~indexes:true ~par db src in
       (* the shape is always bare axis steps: the structural join must
          actually have served it (not silently fallen back) *)

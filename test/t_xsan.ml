@@ -386,11 +386,15 @@ let stress_tests =
                ("k" ^ string_of_int i)
                i)
         done;
+        (* workers only record; the calling domain asserts — Alcotest
+           prints through Format's shared queue, which is not
+           domain-safe *)
+        let dropped = Array.make 16 false in
         Xpar.parallel_for ~parallelism:4 0 16 (fun i ->
-            check Alcotest.bool "stale entry dropped" true
-              (Plan_cache.find cache ~gen:2 ~fp:"fp"
-                 ("k" ^ string_of_int i)
-              = None));
+            dropped.(i) <-
+              Plan_cache.find cache ~gen:2 ~fp:"fp" ("k" ^ string_of_int i)
+              = None);
+        Array.iter (check Alcotest.bool "stale entry dropped" true) dropped;
         let s = Plan_cache.stats cache in
         check Alcotest.int "all 16 invalidated" 16
           s.Plan_cache.invalidations;
