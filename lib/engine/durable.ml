@@ -5,16 +5,16 @@
 
     {v
       MANIFEST              "xqdb-format 1\ngeneration N\n"
-      snapshot.N.pages      page-file snapshot (absent for generation 0)
+      snapshot.N.pages      CRC-framed snapshot (absent for generation 0)
       wal.N.log             the live write-ahead log
     v}
 
     The MANIFEST names the live generation; everything else is garbage
     from a crashed checkpoint and is removed on open. A checkpoint writes
-    [snapshot.N+1.pages] (a full catalog image through the pager), then
-    atomically publishes it by rewriting the MANIFEST via
-    tmp-file-and-rename, then starts a fresh [wal.N+1.log]. A crash at
-    any point leaves either the old generation fully live or the new one
+    and fsyncs [snapshot.N+1.pages] (a full catalog image), then
+    atomically publishes it by rewriting the MANIFEST via tmp file,
+    fsync and rename, then starts a fresh [wal.N+1.log]. A crash at any
+    point leaves either the old generation fully live or the new one
     fully live — never a mix.
 
     Recovery on {!open_db}: load the live snapshot (empty database if
@@ -93,8 +93,9 @@ let read_manifest dir : int =
       | _ -> format_error "%s: bad generation in MANIFEST" dir)
   | _ -> format_error "%s: not an xqdb data directory (bad MANIFEST)" dir
 
-(** Publish [gen] atomically: write a tmp file, rename over MANIFEST,
-    fsync the directory. *)
+(** Publish [gen] atomically: write and fsync a tmp file, rename it over
+    MANIFEST, fsync the directory. Without the file fsync a power loss
+    could leave the rename pointing at an empty MANIFEST. *)
 let write_manifest dir gen =
   let tmp = Filename.concat dir "MANIFEST.tmp" in
   let oc = open_out_bin tmp in
@@ -102,7 +103,8 @@ let write_manifest dir gen =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       Printf.fprintf oc "xqdb-format %d\ngeneration %d\n" format_version gen;
-      flush oc);
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp (manifest_path dir);
   fsync_dir dir
 
@@ -160,7 +162,7 @@ let open_db ?(sync = true) ?(count = no_count) ~data_dir ~mk ~apply () =
     cleanup_orphans data_dir gen;
     let snap = snapshot_path data_dir gen in
     let db, xindexes, rindexes, sdefs =
-      if Sys.file_exists snap then Wal.Snapshot.load ~count ~path:snap ()
+      if Sys.file_exists snap then Wal.Snapshot.load ~path:snap ()
       else (Storage.Database.create (), [], [], [])
     in
     let ctx = mk db xindexes rindexes sdefs in
@@ -248,7 +250,7 @@ let journal_table t (tbl : Storage.Table.t) =
 let checkpoint t ~db ~xindexes ~rindexes ~sindexes =
   Faultinject.hit "checkpoint.begin";
   let next = t.gen + 1 in
-  Wal.Snapshot.save ~count:t.count ~path:(snapshot_path t.data_dir next) db
+  Wal.Snapshot.save ~path:(snapshot_path t.data_dir next) db
     xindexes rindexes sindexes;
   Faultinject.hit "checkpoint.end";
   (* the rename is the commit point of the checkpoint *)

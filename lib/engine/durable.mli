@@ -33,8 +33,7 @@ val generation : t -> int
     records applied (the [recovery_redo_records] counter).
 
     [sync] selects fsync-on-commit (default [true]); [count] receives the
-    durability counters ([wal_appends], [wal_fsyncs], [page_reads],
-    [page_writes], [pool_evictions]). *)
+    durability counters ([wal_appends], [wal_fsyncs]). *)
 val open_db :
   ?sync:bool ->
   ?count:(string -> unit) ->

@@ -36,11 +36,12 @@ val create : unit -> t
 
     {!create} gives an in-memory database — the default, and what every
     benchmark and test uses unless it opts in. {!open_db} binds the
-    handle to a data directory with a page-file snapshot and a write-ahead
-    log: every mutating statement (DML, DDL, bulk loads) is logged as one
-    WAL group and committed records survive a crash — reopening the
-    directory replays the committed tail and truncates torn garbage. See
-    docs/DURABILITY.md for the on-disk format and recovery algorithm. *)
+    handle to a data directory with a CRC-framed snapshot and a
+    write-ahead log: every mutating statement (DML, DDL, bulk loads) is
+    logged as one WAL group and committed records survive a crash —
+    reopening the directory replays the committed tail and truncates
+    torn garbage. See docs/DURABILITY.md for the on-disk format and
+    recovery algorithm. *)
 
 (** Open (or create) a durable database in [data_dir], running crash
     recovery first. [sync] (default [true]) fsyncs the WAL at every

@@ -36,8 +36,6 @@ let points () =
     "eval.step";          (* every Xquery.Eval.eval step *)
     "wal.append";         (* a WAL record is about to be appended *)
     "wal.fsync";          (* the WAL is about to be fsynced (commit) *)
-    "page.write";         (* a dirty page is about to be written back *)
-    "page.evict";         (* the buffer pool is about to evict a frame *)
     "checkpoint.begin";   (* a checkpoint is starting *)
     "checkpoint.end";     (* a checkpoint is about to publish its manifest *)
   ]

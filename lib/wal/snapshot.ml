@@ -1,9 +1,12 @@
 (** Checkpoint snapshots: the full catalog (tables, rows, path tables,
-    XML and relational indexes) serialized through the {!Pager}.
+    XML and relational indexes) as one plain file.
 
-    Layout: page 0 is a fixed header [magic, format version, page size,
-    catalog blob head]; the catalog itself is one {!Pager.Blob} page
-    chain. Recovery = load the snapshot, then replay the WAL tail on top.
+    Layout: the header [magic, u32 format version], then one
+    {!Codec.frame} per catalog entry, each payload opening with a tag
+    byte: ['T'] per table, then ['X'] per XML index, ['R'] per relational
+    index, and last one ['S'] holding the structural-definition list. A
+    snapshot loads whole or not at all. Recovery = load the snapshot,
+    then replay the WAL tail on top.
 
     Node identity is the one thing that does not survive serialization:
     XML values are stored as document text and re-parsed on load, so every
@@ -15,13 +18,14 @@
     contain no node ids and round-trip unchanged. *)
 
 open Storage
-module C = Pager.Codec
+module C = Codec
 
 let magic = "XQDBSNAP"
 
-(* v2 appends the structural-index definition list (the encodings
-   themselves are derived data, rebuilt from the reloaded documents). *)
-let format_version = 2
+(* v2 appended the structural-index definition list (the encodings
+   themselves are derived data, rebuilt from the reloaded documents);
+   v3 replaced the page file with one CRC frame per catalog entry. *)
+let format_version = 3
 
 let format_error fmt =
   Xdm.Xerror.raise_err "XQDB0005" fmt
@@ -247,95 +251,87 @@ let g_sindex r : Xmlindex.Structindex.def =
   let column = C.g_str r in
   { Xmlindex.Structindex.iname; table; column }
 
-let encode_catalog buf db (xindexes : Xmlindex.Xindex.t list)
-    (rindexes : Xmlindex.Rel_index.t list)
-    (sindexes : Xmlindex.Structindex.t list) =
-  C.list enc_table buf (Database.tables db);
-  C.list (enc_xindex db) buf xindexes;
-  C.list enc_rindex buf rindexes;
-  C.list enc_sindex buf sindexes
-
-let decode_catalog data :
-    Database.t
-    * Xmlindex.Xindex.t list
-    * Xmlindex.Rel_index.t list
-    * Xmlindex.Structindex.def list =
-  let r = C.reader data in
-  let tables = C.g_list g_table r in
-  let db = Database.create () in
-  List.iter
-    (fun (t : Table.t) ->
-      Hashtbl.add db.Database.tables (String.lowercase_ascii t.Table.name) t)
-    tables;
-  let xindexes = C.g_list (g_xindex db) r in
-  let rindexes = C.g_list g_rindex r in
-  let sdefs = C.g_list g_sindex r in
-  (db, xindexes, rindexes, sdefs)
-
 (* ------------------------------------------------------------------ *)
-(* Page-file header                                                    *)
+(* The file: header, then one frame per catalog entry                  *)
 (* ------------------------------------------------------------------ *)
 
-let header_len = String.length magic + 4 + 4 + 8
-
-let no_count (_ : string) = ()
-
-(** Write a full snapshot of [db] (plus indexes) to [path]. *)
-let save ?(page_size = Pager.default_page_size) ?(pool_pages = Pager.default_pool_pages)
-    ?(count = no_count) ~path db xindexes rindexes sindexes =
-  let p = Pager.openfile ~page_size ~pool_pages ~count ~truncate:true path in
+(** Write a full snapshot of [db] (plus indexes) to [path] and fsync it.
+    Only one entry's bytes are held at a time. *)
+let save ~path db xindexes rindexes sindexes =
+  let fd = Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   Fun.protect
-    ~finally:(fun () -> Pager.close p)
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let hdr = Pager.alloc p in
-      assert (hdr = 0);
       let buf = Buffer.create 65536 in
-      encode_catalog buf db xindexes rindexes sindexes;
-      let head = Pager.Blob.write p (Buffer.contents buf) in
-      let hb = Buffer.create header_len in
-      Buffer.add_string hb magic;
-      C.u32 hb format_version;
-      C.u32 hb page_size;
-      C.i64 hb (Int64.of_int head);
-      Pager.write_page p 0 (Buffer.contents hb);
-      Pager.flush p)
+      Buffer.add_string buf magic;
+      C.u32 buf format_version;
+      C.write_all fd (Buffer.contents buf);
+      let entry tag enc x =
+        Buffer.clear buf;
+        C.u8 buf (Char.code tag);
+        enc buf x;
+        C.write_all fd (C.frame (Buffer.contents buf))
+      in
+      List.iter (entry 'T' enc_table) (Database.tables db);
+      List.iter (entry 'X' (enc_xindex db)) xindexes;
+      List.iter (entry 'R' enc_rindex) rindexes;
+      entry 'S' (C.list enc_sindex) sindexes;
+      Unix.fsync fd)
+
+(** Decode the entry frames after the header: tables, XML indexes,
+    relational indexes, then the closing structural-definition list,
+    which must end the file. *)
+let decode_entries (r : C.reader) =
+  let db = Database.create () in
+  let rec go xs rs =
+    let e =
+      match C.g_frame r with
+      | Some payload -> C.reader payload
+      | None -> C.corrupt "bad or missing frame at byte %d" r.C.pos
+    in
+    let tag = Char.chr (C.g_u8 e) in
+    let entry dec =
+      let v = dec e in
+      if not (C.at_end e) then C.corrupt "trailing bytes in %C entry" tag;
+      v
+    in
+    match tag with
+    | 'T' ->
+        let t = entry g_table in
+        Hashtbl.add db.Database.tables (String.lowercase_ascii t.Table.name) t;
+        go xs rs
+    | 'X' -> go (entry (g_xindex db) :: xs) rs
+    | 'R' -> go xs (entry g_rindex :: rs)
+    | 'S' ->
+        let sdefs = entry (C.g_list g_sindex) in
+        if not (C.at_end r) then C.corrupt "trailing bytes at %d" r.C.pos;
+        (db, List.rev xs, List.rev rs, sdefs)
+    | c -> C.corrupt "bad entry tag %C" c
+  in
+  go [] []
 
 (** Load a snapshot; raises a coded [XQDB0005] error on an unrecognized
-    or incompatible format and on structural corruption. *)
-let load ?(pool_pages = Pager.default_pool_pages) ?(count = no_count) ~path () :
+    or incompatible format and on any bad frame, short file or trailing
+    bytes. *)
+let load ~path () :
     Database.t
     * Xmlindex.Xindex.t list
     * Xmlindex.Rel_index.t list
     * Xmlindex.Structindex.def list =
-  (* The header fixes the page size, so read it with plain file I/O
-     before opening the pager. *)
-  let hdr =
-    match open_in_bin path with
-    | exception Sys_error _ -> format_error "cannot read snapshot %s" path
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            try really_input_string ic header_len
-            with End_of_file ->
-              format_error "snapshot %s: truncated header" path)
+  let data =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error _ -> format_error "cannot read snapshot %s" path
   in
-  if String.sub hdr 0 (String.length magic) <> magic then
+  if not (String.starts_with ~prefix:magic data) then
     format_error "%s is not an xqdb snapshot" path;
-  let r = C.reader hdr in
+  let r = C.reader data in
   r.C.pos <- String.length magic;
-  let version = C.g_u32 r in
-  if version <> format_version then
-    format_error "snapshot %s: format version %d, this build reads %d" path
-      version format_version;
-  let page_size = C.g_u32 r in
-  let head = Int64.to_int (C.g_i64 r) in
-  if page_size < 64 then format_error "snapshot %s: bad page size %d" path page_size;
-  let p = Pager.openfile ~page_size ~pool_pages ~count ~truncate:false path in
-  Fun.protect
-    ~finally:(fun () -> Pager.close ~flush:false p)
-    (fun () ->
-      match decode_catalog (Pager.Blob.read p head) with
-      | result -> result
-      | exception C.Corrupt m -> format_error "snapshot %s: %s" path m
-      | exception Invalid_argument m -> format_error "snapshot %s: %s" path m)
+  match C.g_u32 r with
+  | exception C.Corrupt _ -> format_error "snapshot %s: truncated header" path
+  | version when version <> format_version ->
+      format_error "snapshot %s: format version %d, this build reads %d" path
+        version format_version
+  | _ -> (
+      try decode_entries r with
+      | C.Corrupt m | Invalid_argument m ->
+          format_error "snapshot %s: %s" path m)

@@ -1,10 +1,10 @@
 (** Checkpoint snapshots: the full catalog (tables, rows, path tables,
-    XML and relational indexes) serialized through the {!Pager}.
+    XML and relational indexes) as one plain file.
 
-    Layout: page 0 is a fixed header [magic, format version, page size,
-    catalog blob head]; the catalog itself is one [Pager.Blob] page
-    chain. Recovery = load the snapshot, then replay the WAL tail on
-    top.
+    Layout: the header [magic, u32 format version], then one
+    {!Codec.frame} per catalog entry (each table, each XML index, each
+    relational index, and last the structural-definition list).
+    Recovery = load the snapshot, then replay the WAL tail on top.
 
     Node identity does not survive serialization: XML values are stored
     as document text and re-parsed on load, so index entries go to disk
@@ -15,13 +15,10 @@ val magic : string
 val format_version : int
 
 (** Write a full snapshot of [db] (plus indexes) to [path], truncating
-    any previous file. [count] is the Xprof counter hook threaded to the
-    pager. Structural indexes persist as definitions only — their
-    encodings are node-id-keyed derived data, rebuilt on load. *)
+    any previous file, and fsync it. Structural indexes persist as
+    definitions only — their encodings are node-id-keyed derived data,
+    rebuilt on load. *)
 val save :
-  ?page_size:int ->
-  ?pool_pages:int ->
-  ?count:(string -> unit) ->
   path:string ->
   Storage.Database.t ->
   Xmlindex.Xindex.t list ->
@@ -29,13 +26,13 @@ val save :
   Xmlindex.Structindex.t list ->
   unit
 
-(** Load a snapshot; raises a coded [XQDB0005] error on an unrecognized
-    or incompatible format and on structural corruption. The caller
-    re-installs structural indexes from the returned definitions
-    (re-encoding the freshly parsed documents). *)
+(** Load a snapshot, all or nothing: raises a coded [XQDB0005] error on
+    an unrecognized or incompatible format, on any bad (short or
+    CRC-mismatched) frame, a short file or trailing bytes, and on
+    structural corruption. The caller re-installs structural indexes
+    from the returned definitions (re-encoding the freshly parsed
+    documents). *)
 val load :
-  ?pool_pages:int ->
-  ?count:(string -> unit) ->
   path:string ->
   unit ->
   Storage.Database.t

@@ -8,7 +8,7 @@
     disk (see {!Snapshot}). *)
 
 open Xdm
-module C = Pager.Codec
+module C = Codec
 
 (* ------------------------------------------------------------------ *)
 (* Qualified names and path steps                                      *)

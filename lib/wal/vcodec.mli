@@ -8,20 +8,19 @@
     disk (see {!Snapshot}).
 
     Encoders write into a [Buffer]; [g_]-prefixed decoders read from a
-    {!Pager.Codec.reader} and raise [Pager.Codec.Corrupt] on malformed
-    input. *)
+    {!Codec.reader} and raise [Codec.Corrupt] on malformed input. *)
 
 val qname : Buffer.t -> Xdm.Qname.t -> unit
-val g_qname : Pager.Codec.reader -> Xdm.Qname.t
+val g_qname : Codec.reader -> Xdm.Qname.t
 val step : Buffer.t -> Xdm.Node.path_step -> unit
-val g_step : Pager.Codec.reader -> Xdm.Node.path_step
+val g_step : Codec.reader -> Xdm.Node.path_step
 val atomic : Buffer.t -> Xdm.Atomic.t -> unit
-val g_atomic : Pager.Codec.reader -> Xdm.Atomic.t
+val g_atomic : Codec.reader -> Xdm.Atomic.t
 val sqltype : Buffer.t -> Storage.Sql_value.sqltype -> unit
-val g_sqltype : Pager.Codec.reader -> Storage.Sql_value.sqltype
+val g_sqltype : Codec.reader -> Storage.Sql_value.sqltype
 val item : Buffer.t -> Xdm.Item.t -> unit
-val g_item : Pager.Codec.reader -> Xdm.Item.t
+val g_item : Codec.reader -> Xdm.Item.t
 val sql_value : Buffer.t -> Storage.Sql_value.t -> unit
-val g_sql_value : Pager.Codec.reader -> Storage.Sql_value.t
+val g_sql_value : Codec.reader -> Storage.Sql_value.t
 val row : Buffer.t -> Storage.Table.row -> unit
-val g_row : Pager.Codec.reader -> Storage.Table.row
+val g_row : Codec.reader -> Storage.Table.row

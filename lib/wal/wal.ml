@@ -9,11 +9,11 @@
     statement (including mid-append) recovers to the pre-statement
     state — the WAL-level mirror of the in-memory per-statement undo log.
 
-    Framing is [u32 length][u32 crc][payload], little-endian, with the
-    CRC covering the length bytes *and* the payload, so a torn or
-    bit-flipped tail — even one that corrupts the length field itself —
-    is detected and replay stops at the last intact record. On reopen the
-    tail after the last committed record is truncated away.
+    Each record is one {!Codec.frame}, whose CRC covers the length bytes
+    *and* the payload, so a torn or bit-flipped tail — even one that
+    corrupts the length field itself — is detected and replay stops at
+    the last intact record. On reopen the tail after the last committed
+    record is truncated away.
 
     Redo records are logical: row operations carry full row images
     (values serialized through {!Vcodec}), DDL is replayed by re-executing
@@ -21,12 +21,14 @@
     apply to because replay starts from the checkpointed image and applies
     groups in log order. *)
 
-module C = Pager.Codec
+module C = Codec
 
-(** Re-exports, so library users see [Wal.Snapshot] / [Wal.Vcodec]. *)
+(** Re-exports, so library users see [Wal.Snapshot] / [Wal.Vcodec] /
+    [Wal.Codec]. *)
 module Snapshot = Snapshot
 
 module Vcodec = Vcodec
+module Codec = Codec
 
 type record =
   | Begin of int  (** statement sequence number *)
@@ -88,14 +90,6 @@ let decode_record (payload : string) : record =
   if not (C.at_end r) then C.corrupt "trailing bytes in record";
   rec_
 
-let frame (payload : string) : string =
-  let buf = Buffer.create (String.length payload + 8) in
-  C.u32 buf (String.length payload);
-  let len_bytes = Buffer.contents buf in
-  C.u32 buf (C.crc32 (len_bytes ^ payload));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* The log writer                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -118,16 +112,10 @@ let open_log ?(sync = true) ?(count = no_count) ?(keep = 0) path =
   ignore (Unix.lseek fd keep Unix.SEEK_SET);
   { fd; path; sync; count }
 
-let write_exactly fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
 (** Append one record (no durability guarantee until {!commit}). *)
 let append t (rec_ : record) =
   Faultinject.hit "wal.append";
-  write_exactly t.fd (frame (encode_record rec_));
+  C.write_all t.fd (C.frame (encode_record rec_));
   t.count "wal_appends"
 
 (** Make everything appended so far durable (the commit point of the
@@ -173,49 +161,36 @@ type replay_result = {
     scan (everything after them is unreachable garbage); an uncommitted
     trailing group is skipped entirely. *)
 let replay ?(apply = fun (_ : record) -> ()) path : replay_result =
-  let data = read_file path in
-  let len = String.length data in
-  let pos = ref 0 in
+  let log = C.reader (read_file path) in
   let committed_end = ref 0 in
   let redo = ref 0 in
   let stmts = ref 0 in
   let pending = ref None in  (* Some (seq, rev records) while in a group *)
-  let stop = ref false in
-  while not !stop do
-    if !pos + 8 > len then stop := true
-    else begin
-      let r = C.reader (String.sub data !pos 8) in
-      let plen = C.g_u32 r in
-      let crc = C.g_u32 r in
-      if plen < 0 || !pos + 8 + plen > len then stop := true
-      else
-        let payload = String.sub data (!pos + 8) plen in
-        if C.crc32 (String.sub data !pos 4 ^ payload) <> crc then stop := true
-        else
-          match decode_record payload with
-          | exception C.Corrupt _ -> stop := true
-          | rec_ ->
-              pos := !pos + 8 + plen;
-              (match rec_ with
-              | Begin seq ->
-                  (* an unfinished predecessor group is abandoned *)
-                  pending := Some (seq, [])
-              | Commit seq -> (
-                  match !pending with
-                  | Some (s, revs) when s = seq ->
-                      List.iter
-                        (fun r ->
-                          apply r;
-                          incr redo)
-                        (List.rev revs);
-                      incr stmts;
-                      pending := None;
-                      committed_end := !pos
-                  | _ -> pending := None)
-              | (Ddl _ | Row _) as r -> (
-                  match !pending with
-                  | Some (s, revs) -> pending := Some (s, r :: revs)
-                  | None -> () (* record outside a group: ignore *)))
-    end
-  done;
+  let rec go () =
+    match Option.map decode_record (C.g_frame log) with
+    | None | (exception C.Corrupt _) -> ()
+    | Some rec_ ->
+        (match rec_ with
+        | Begin seq ->
+            (* an unfinished predecessor group is abandoned *)
+            pending := Some (seq, [])
+        | Commit seq -> (
+            match !pending with
+            | Some (s, revs) when s = seq ->
+                List.iter
+                  (fun r ->
+                    apply r;
+                    incr redo)
+                  (List.rev revs);
+                incr stmts;
+                pending := None;
+                committed_end := log.C.pos
+            | _ -> pending := None)
+        | (Ddl _ | Row _) as r -> (
+            match !pending with
+            | Some (s, revs) -> pending := Some (s, r :: revs)
+            | None -> () (* record outside a group: ignore *)));
+        go ()
+  in
+  go ();
   { committed_end = !committed_end; redo_records = !redo; statements = !stmts }

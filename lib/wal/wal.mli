@@ -9,15 +9,17 @@
     statement recovers to the pre-statement state — the WAL-level mirror
     of the in-memory per-statement undo log.
 
-    Framing is [u32 length][u32 crc][payload], little-endian, with the
-    CRC covering the length bytes *and* the payload, so a torn or
+    Each record is one {!Codec.frame} ([u32 length][u32 crc][payload],
+    the CRC covering the length bytes *and* the payload), so a torn or
     bit-flipped tail — even one corrupting the length field itself — is
     detected and replay stops at the last intact record. *)
 
-(** Re-exports, so library users see [Wal.Snapshot] / [Wal.Vcodec]. *)
+(** Re-exports, so library users see [Wal.Snapshot] / [Wal.Vcodec] /
+    [Wal.Codec]. *)
 module Snapshot = Snapshot
 
 module Vcodec = Vcodec
+module Codec = Codec
 
 type record =
   | Begin of int  (** statement sequence number *)
@@ -27,9 +29,6 @@ type record =
 
 val encode_record : record -> string
 val decode_record : string -> record
-
-(** Wrap a payload in the [length · crc · payload] on-disk frame. *)
-val frame : string -> string
 
 (** {1 The log writer} *)
 
