@@ -1,802 +1,538 @@
-(** Benchmark harness: one experiment per pitfall area of the paper
-    (see DESIGN.md §3 for the experiment index E1–E15).
+(** Benchmark harness: two tables and one loop.
 
-    The paper has no numbered tables or figures; each of its ten pitfall
-    sections makes a qualitative performance claim — "the eligible
-    formulation uses the index and wins, the seemingly-identical one scans
-    the collection". Every experiment below reproduces one claim: it runs
-    the paper's query pair(s) via Bechamel (one [Test.make] per variant),
-    prints the measured time per execution, the result cardinality, which
-    indexes the planner chose, and the speedup of the eligible variant.
+    {b Experiments} ([main.exe] with no arguments): each pitfall section
+    of the paper claims "the eligible formulation uses the index and wins,
+    the seemingly-identical one scans the collection" (DESIGN.md §3). Each
+    experiment builds its database, runs its DDL and times every variant:
+    time per execution, result count, profiled probe/scan counters, the
+    indexes the planner chose, speedup over the first variant. The numbers
+    are ours (an in-memory engine, not DB2 on 2006 hardware); the *shape*
+    is the reproduction target (EXPERIMENTS.md). E6 and E12 time nothing:
+    test/t_construct.ml (Queries 23–25) and test/t_xindex.ml (tolerant
+    indexing) assert their claims.
 
-    Absolute numbers are ours (an in-memory OCaml engine, not DB2 on 2006
-    hardware); the *shape* — who wins, by what factor, where the
-    crossovers are — is the reproduction target. Results are recorded in
-    EXPERIMENTS.md. *)
+    {b Gates} ([main.exe [--out FILE] GATE...]): one record per CI gate —
+    a measure function that returns a JSON section, and named assertions
+    over that section. The loop runs the named gates, prints one line per
+    assertion, writes every section as one JSON object to [FILE]
+    (default [BENCH_micro.json]) and exits 1 if any assertion fails. *)
 
-open Bechamel
-open Toolkit
+module J = Xprof.Json
 
 (* ------------------------------------------------------------------ *)
-(* Measurement helpers                                                 *)
+(* The one timer                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Nanoseconds per run of [fn], measured with Bechamel (monotonic clock,
-    OLS over run counts). *)
-let measure_ns ?(quota = 0.5) name (fn : unit -> unit) : float =
-  let test = Test.make ~name (Staged.stage fn) in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false ()
+(** Batched samples of several workloads measured together. Each round
+    takes one sample of every workload in turn — milliseconds per run
+    over [batch] back-to-back runs, which amortizes clock-read noise on
+    sub-millisecond statements — so scheduler drift and GC pressure land
+    on all of them alike. Rounds stop after [iters], or once [secs] have
+    elapsed; the first round always runs. *)
+let sample ?(batch = 1) ?(secs = infinity) ~iters (fns : (unit -> unit) list)
+    : Xprof.Hist.t list =
+  let hists = List.map (fun _ -> Xprof.Hist.create ()) fns in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec round k =
+    if k < iters && (k = 0 || Unix.gettimeofday () < deadline) then begin
+      List.iter2
+        (fun h f ->
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to batch do
+            f ()
+          done;
+          Xprof.Hist.add h
+            ((Unix.gettimeofday () -. t0) *. 1000. /. float_of_int batch))
+        hists fns;
+      round (k + 1)
+    end
   in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun _ v acc ->
-      match Analyze.OLS.estimates v with Some [ e ] -> e | _ -> acc)
-    results Float.nan
+  round 0;
+  hists
 
-let pretty_ns ns =
-  if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-  else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-  else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-  else Printf.sprintf "%8.0f ns" ns
+(** Median ms/run of one workload. *)
+let p50_ms ?batch ?secs ~iters f =
+  Xprof.Hist.p50 (List.hd (sample ?batch ?secs ~iters [ f ]))
 
-type variant = {
-  vname : string;
-  run : unit -> int;  (** returns a result cardinality *)
-  note : string;  (** indexes used / semantics remark *)
-}
-
-let experiment ~id ~claim (variants : variant list) =
-  Printf.printf "\n%s — %s\n" id claim;
-  Printf.printf "  %-44s %12s %8s  %-30s %s\n" "variant" "time/exec"
-    "results" "indexes/remark" "speedup";
-  let base = ref None in
-  List.iter
-    (fun v ->
-      let n = v.run () in
-      let ns = measure_ns v.vname (fun () -> ignore (v.run ())) in
-      let speedup =
-        match !base with
-        | None ->
-            base := Some ns;
-            "1.0x (baseline)"
-        | Some b -> Printf.sprintf "%.1fx" (b /. ns)
-      in
-      Printf.printf "  %-44s %12s %8d  %-30s %s\n" v.vname (pretty_ns ns) n
-        v.note speedup)
-    variants;
-  flush stdout
+(** Per-run latencies of [f] run back to back for [secs]. *)
+let for_secs secs f = List.hd (sample ~secs ~iters:max_int [ f ])
 
 (* ------------------------------------------------------------------ *)
-(* Shared databases                                                    *)
+(* Databases and the paper-query corpus                                *)
 (* ------------------------------------------------------------------ *)
 
-let n_docs = 4000
+let ddl db stmts = List.iter (fun s -> ignore (Engine.exec db s)) stmts
 
-let build_db ?(n = n_docs) ?(params = Workload.Orders_gen.default) () =
+let index name on pattern ty =
+  Printf.sprintf "CREATE INDEX %s ON %s USING XMLPATTERN '%s' AS %s" name on
+    pattern ty
+
+let li_price = index "li_price" "orders(orddoc)" "//lineitem/@price" "DOUBLE"
+
+let li_price_v =
+  index "li_price_v" "orders(orddoc)" "//lineitem/@price" "VARCHAR(20)"
+
+let li_pid =
+  index "li_pid" "orders(orddoc)" "//lineitem/product/id" "VARCHAR(20)"
+
+let c_custid = index "c_custid" "customer(cdoc)" "/customer/id" "DOUBLE"
+
+(** orders / customer / products with [n] generated orders. *)
+let build_db n () =
   let db = Engine.create () in
-  ignore (Engine.exec db "CREATE TABLE orders (ordid INTEGER, orddoc XML)");
-  ignore (Engine.exec db "CREATE TABLE customer (cid INTEGER, cdoc XML)");
-  ignore
-    (Engine.exec db "CREATE TABLE products (id VARCHAR(13), name VARCHAR(32))");
+  ddl db
+    [
+      "CREATE TABLE orders (ordid INTEGER, orddoc XML)";
+      "CREATE TABLE customer (cid INTEGER, cdoc XML)";
+      "CREATE TABLE products (id VARCHAR(13), name VARCHAR(32))";
+    ];
   let p =
-    { params with Workload.Orders_gen.n_customers = 200; n_products = 300 }
+    { Workload.Orders_gen.default with n_customers = 200; n_products = 300 }
   in
   Engine.load_documents db ~table:"orders" ~column:"orddoc"
     (Workload.Orders_gen.orders p n);
   Engine.load_documents db ~table:"customer" ~column:"cdoc"
     (Workload.Orders_gen.customers p);
-  List.iter
-    (fun (id, name) ->
-      ignore
-        (Engine.exec db
-           (Printf.sprintf "INSERT INTO products VALUES ('%s', '%s')" id name)))
-    (Workload.Orders_gen.products p);
+  ddl db
+    (List.map
+       (fun (id, name) ->
+         Printf.sprintf "INSERT INTO products VALUES ('%s', '%s')" id name)
+       (Workload.Orders_gen.products p));
   db
 
-let ddl db stmts = List.iter (fun s -> ignore (Engine.exec db s)) stmts
-
-let xq_n db src () = List.length (Engine.outcome_items (Engine.exec db src))
-let xq_noidx_n db src () =
-  let saved = Engine.use_indexes db in
-  Engine.set_use_indexes db false;
-  Fun.protect
-    ~finally:(fun () -> Engine.set_use_indexes db saved)
-    (fun () -> List.length (Engine.outcome_items (Engine.exec db src)))
-let sql_n db src () = List.length (Engine.outcome_rows (Engine.exec db src))
-
-(* ------------------------------------------------------------------ *)
-(* E1 — index eligibility (§2.2, Queries 1/2)                          *)
-(* ------------------------------------------------------------------ *)
-
-let e1 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS DOUBLE";
-    ];
-  let q1 = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>990]" in
-  let q2 = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@*>990]" in
-  experiment ~id:"E1 (§2.2, Queries 1–2)"
-    ~claim:
-      "li_price is eligible for Query 1 (pattern ⊇ query) but not Query 2 \
-       (@* is less restrictive than the index)"
-    [
-      { vname = "Query 1, collection scan"; run = xq_noidx_n db q1; note = "no index" };
-      { vname = "Query 1, indexed"; run = xq_n db q1; note = "idx: li_price" };
-      {
-        vname = "Query 2 (@*), indexed plan = scan";
-        run = xq_n db q2;
-        note = "index rejected: containment";
-      };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E2 — predicate data types (§3.1, Queries 3/4)                       *)
-(* ------------------------------------------------------------------ *)
-
-let e2 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS DOUBLE";
-      "CREATE INDEX li_price_v ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS VARCHAR(20)";
-    ];
-  let numeric = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>990]" in
-  let stringp =
-    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > \"990\"]"
-  in
-  experiment ~id:"E2 (§3.1, Query 3)"
-    ~claim:
-      "a quoted literal makes the predicate a *string* comparison: the \
-       DOUBLE index is ineligible, a VARCHAR index serves it (with string \
-       ordering!)"
-    [
-      { vname = "numeric predicate, scan"; run = xq_noidx_n db numeric; note = "no index" };
-      { vname = "numeric predicate (DOUBLE index)"; run = xq_n db numeric; note = "idx: li_price" };
-      {
-        vname = "string predicate (VARCHAR index)";
-        run = xq_n db stringp;
-        note = "idx: li_price_v (different answer!)";
-      };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E3 — SQL/XML query functions (§3.2, Queries 5–12)                   *)
-(* ------------------------------------------------------------------ *)
-
-let e3 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS DOUBLE";
-    ];
-  let q5 =
-    "SELECT XMLQuery('$o//lineitem[@price > 990]' passing orddoc as \"o\") \
-     FROM orders"
-  in
-  let q8 =
-    "SELECT ordid, orddoc FROM orders WHERE XMLExists('$o//lineitem[@price \
-     > 990]' passing orddoc as \"o\")"
-  in
-  let q9 =
-    "SELECT ordid, orddoc FROM orders WHERE XMLExists('$o//lineitem/@price \
-     > 990' passing orddoc as \"o\")"
-  in
-  let q7 = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 990]" in
-  let q11 =
-    "SELECT o.ordid, t.li FROM orders o, XMLTable('$o//lineitem[@price > \
-     990]' passing o.orddoc as \"o\" COLUMNS \"li\" XML BY REF PATH '.') \
-     as t(li)"
-  in
-  experiment ~id:"E3 (§3.2, Queries 5–12)"
-    ~claim:
-      "XMLQuery in the select list cannot filter (all rows, no index); \
-       XMLExists and the XMLTable row-producer can; a boolean inside \
-       XMLExists silently selects everything"
-    [
-      { vname = "Query 5: XMLQuery select list"; run = sql_n db q5; note = "rows = all orders" };
-      { vname = "Query 8: XMLExists"; run = sql_n db q8; note = "idx: li_price" };
-      { vname = "Query 9: boolean XMLExists (trap)"; run = sql_n db q9; note = "rows = all orders" };
-      { vname = "Query 7: stand-alone XQuery"; run = xq_n db q7; note = "idx: li_price" };
-      { vname = "Query 11: XMLTable row-producer"; run = sql_n db q11; note = "idx: li_price" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E4 — joins (§3.3, Queries 13–16)                                    *)
-(* ------------------------------------------------------------------ *)
-
-let e4 () =
-  let db = build_db ~n:1500 () in
-  ddl db
-    [
-      "CREATE INDEX li_pid ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/product/id' AS VARCHAR(20)";
-      "CREATE INDEX c_custid ON customer(cdoc) USING XMLPATTERN \
-       '/customer/id' AS DOUBLE";
-    ];
-  let q13 =
-    "SELECT p.name FROM products p, orders o WHERE XMLExists('$o \
-     //lineitem/product[id eq $pid]' passing o.orddoc as \"o\", p.id as \
-     \"pid\")"
-  in
-  let q15 =
-    "SELECT c.cid FROM orders o, customer c WHERE \
-     XMLCast(XMLQuery('$o/order/custid' passing o.orddoc as \"o\") as \
-     DOUBLE) = XMLCast(XMLQuery('$c/customer/id' passing c.cdoc as \"c\") \
-     as DOUBLE)"
-  in
-  let q16 =
-    "SELECT c.cid FROM orders o, customer c WHERE \
-     XMLExists('$o/order[custid/xs:double(.) = \
-     $c/customer/id/xs:double(.)]' passing o.orddoc as \"o\", c.cdoc as \
-     \"c\")"
-  in
-  experiment ~id:"E4 (§3.3, Queries 13–16)"
-    ~claim:
-      "joins expressed in XQuery use XML indexes (nested-loop probes); \
-       SQL-side joins through XMLCast use none"
-    [
-      { vname = "Query 15: SQL-side XML join"; run = sql_n db q15; note = "no index" };
-      { vname = "Query 16: XQuery-side join + casts"; run = sql_n db q16; note = "idx: c_custid probes" };
-      { vname = "Query 13: product join in XQuery"; run = sql_n db q13; note = "idx: li_pid probes" };
-      (let db_plain = build_db ~n:1500 () in
-       {
-         vname = "Query 13 without li_pid (scan)";
-         run = sql_n db_plain q13;
-         note = "no index";
-       });
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E5 — let vs for (§3.4, Queries 17–22)                               *)
-(* ------------------------------------------------------------------ *)
-
-let e5 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS DOUBLE";
-    ];
-  let q17 =
-    "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') for $i in \
-     $d//lineitem[@price > 990] return <result>{$i}</result>"
-  in
-  let q18 =
-    "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') let $i := \
-     $d//lineitem[@price > 990] return <result>{$i}</result>"
-  in
-  let q21 =
-    "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order let $p := \
-     $o/lineitem/@price where $p > 990 return <result>{$o/lineitem}</result>"
-  in
-  let q19 =
-    "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return \
-     <result>{$o/lineitem[@price > 990]}</result>"
-  in
-  let q22 =
-    "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return \
-     $o/lineitem[@price > 990]"
-  in
-  experiment ~id:"E5 (§3.4, Queries 17–22)"
-    ~claim:
-      "for-bindings and where-clauses filter (indexable); let-bindings and \
-       constructor-wrapped predicates preserve empties (full scan, \
-       different results)"
-    [
-      { vname = "Query 18: let (scan, 1 result/doc)"; run = xq_n db q18; note = "no index" };
-      { vname = "Query 17: for"; run = xq_n db q17; note = "idx: li_price" };
-      { vname = "Query 21: let + where"; run = xq_n db q21; note = "idx: li_price" };
-      { vname = "Query 19: ctor in return (scan)"; run = xq_n db q19; note = "no index" };
-      { vname = "Query 22: bare path in return"; run = xq_n db q22; note = "idx: li_price" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E6 — document vs element nodes (§3.5): correctness capsule          *)
-(* ------------------------------------------------------------------ *)
-
-let e6 () =
-  Printf.printf
-    "\nE6 (§3.5, Queries 23–25) — document vs element context (semantics, \
-     not speed)\n";
-  let db = build_db ~n:50 () in
-  let n23 = xq_n db "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem" () in
-  Printf.printf "  Query 23: /order/lineitem from document nodes -> %d items\n"
-    n23;
-  let n24 =
-    xq_n db
-      "for $ord in (for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order \
-       return <my_order>{$o/*}</my_order>) return $ord/my_order"
-      ()
-  in
-  Printf.printf
-    "  Query 24: $ord/my_order under constructed elements -> %d items \
-     (empty: no extra doc level)\n"
-    n24;
-  (try
-     ignore
-       (xq_n db
-          "let $order := <neworder>{db2-fn:xmlcolumn('ORDERS.ORDDOC') \
-           /order}</neworder> return $order[//customer/name]"
-          ())
-   with Xdm.Xerror.Error e ->
-     Printf.printf
-       "  Query 25: absolute path under constructed element -> [%s] %s\n"
-       e.code e.msg);
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* E7 — construction barrier (§3.6, Queries 26/27)                     *)
-(* ------------------------------------------------------------------ *)
-
-let e7 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX li_pid ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/product/id' AS VARCHAR(20)";
-    ];
-  let q26 =
-    "let $view := for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') \
-     /order/lineitem return <item quantity=\"{$i/quantity}\"> \
-     <pid>{$i/product/id/data(.)}</pid></item> for $j in $view where \
-     $j/pid = 'p3' return $j"
-  in
-  let q27 =
-    "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem where \
-     $i/product/id = 'p3' return $i/quantity"
-  in
-  experiment ~id:"E7 (§3.6, Queries 26–27)"
-    ~claim:
-      "predicates over a constructed view cannot be pushed down (fresh \
-       node identities, untypedAtomic): the view query materializes \
-       everything; the base-collection rewrite uses the index"
-    [
-      { vname = "Query 26: constructed view"; run = xq_n db q26; note = "no index, full materialize" };
-      { vname = "Query 27: base collection"; run = xq_n db q27; note = "idx: li_pid" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E8 — namespaces (§3.7, Query 28)                                    *)
-(* ------------------------------------------------------------------ *)
-
-let e8 () =
-  let db = Engine.create () in
-  ignore (Engine.exec db "CREATE TABLE customer (cid INTEGER, cdoc XML)");
-  let p =
-    {
-      Workload.Orders_gen.default with
-      n_customers = n_docs;
-      namespace = Some "http://ournamespaces.com/customer";
-    }
-  in
-  Engine.load_documents db ~table:"customer" ~column:"cdoc"
-    (Workload.Orders_gen.customers p);
-  ddl db
-    [
-      "CREATE INDEX c_nation ON customer(cdoc) USING XMLPATTERN '//nation' \
-       AS DOUBLE";
-    ];
-  let db2 = Engine.create () in
-  ignore (Engine.exec db2 "CREATE TABLE customer (cid INTEGER, cdoc XML)");
-  Engine.load_documents db2 ~table:"customer" ~column:"cdoc"
-    (Workload.Orders_gen.customers p);
-  ddl db2
-    [
-      "CREATE INDEX c_nation_ns2 ON customer(cdoc) USING XMLPATTERN \
-       '//*:nation' AS DOUBLE";
-    ];
-  let q =
-    "declare namespace c=\"http://ournamespaces.com/customer\"; \
-     db2-fn:xmlcolumn('CUSTOMER.CDOC')/c:customer[c:nation = 1]"
-  in
-  experiment ~id:"E8 (§3.7, Query 28)"
-    ~claim:
-      "an index without namespace declarations only holds no-namespace \
-       elements: ineligible for namespaced queries; the *:wildcard index \
-       works"
-    [
-      {
-        vname = "only ns-less c_nation = scan";
-        run = xq_n db q;
-        note = "c_nation rejected (ns)";
-      };
-      { vname = "with //*:nation wildcard index"; run = xq_n db2 q; note = "idx: c_nation_ns2" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E9 — text() alignment (§3.8, Query 29)                              *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  let db = Engine.create () in
-  ignore (Engine.exec db "CREATE TABLE orders (ordid INTEGER, orddoc XML)");
-  let p = { Workload.Orders_gen.default with string_price_frac = 0.3 } in
-  Engine.load_documents db ~table:"orders" ~column:"orddoc"
-    (Workload.Orders_gen.orders p n_docs);
-  ddl db
-    [
-      "CREATE INDEX price_el ON orders(orddoc) USING XMLPATTERN '//price' \
-       AS VARCHAR(30)";
-    ];
-  let db2 = Engine.create () in
-  ignore (Engine.exec db2 "CREATE TABLE orders (ordid INTEGER, orddoc XML)");
-  Engine.load_documents db2 ~table:"orders" ~column:"orddoc"
-    (Workload.Orders_gen.orders p n_docs);
-  ddl db2
-    [
-      "CREATE INDEX price_tx ON orders(orddoc) USING XMLPATTERN \
-       '//price/text()' AS VARCHAR(30)";
-    ];
-  let q =
-    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/price/text() > \
-     \"99\"]"
-  in
-  experiment ~id:"E9 (§3.8, Query 29)"
-    ~claim:
-      "a /text() query cannot use an element-value index (they disagree on \
-       nodes like <price>99.50<currency>USD</currency></price>); it needs \
-       a /text() index"
-    [
-      {
-        vname = "only element index = scan";
-        run = xq_n db q;
-        note = "price_el rejected (text())";
-      };
-      { vname = "with //price/text() index"; run = xq_n db2 q; note = "idx: price_tx" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E10 — attributes (§3.9, Tip 12)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let e10 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX broad_el ON orders(orddoc) USING XMLPATTERN '//*' AS \
-       VARCHAR(50)";
-    ];
-  let db2 = build_db () in
-  ddl db2
-    [
-      "CREATE INDEX broad_at ON orders(orddoc) USING XMLPATTERN '//@*' AS \
-       DOUBLE";
-    ];
-  let q = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > 990]" in
-  experiment ~id:"E10 (§3.9, Tip 12)"
-    ~claim:
-      "//* and //node() indexes contain no attribute nodes; the broad //@* \
-       index covers a numeric predicate on *any* attribute"
-    [
-      {
-        vname = "only //* index = scan";
-        run = xq_n db q;
-        note = "broad_el rejected (attrs)";
-      };
-      { vname = "with //@* broad attribute index"; run = xq_n db2 q; note = "idx: broad_at" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E11 — between (§3.10, Query 30)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  let db = build_db () in
-  ddl db
-    [
-      "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS DOUBLE";
-      "CREATE INDEX price_el ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/price' AS DOUBLE";
-    ];
-  let merged =
-    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem[@price>500 and \
-     @price<510]]"
-  in
-  let ixand =
-    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/price > 500 and \
-     lineitem/price < 510]"
-  in
-  let scanned q =
-    List.iter Xmlindex.Xindex.reset_stats (Engine.xml_indexes db);
-    ignore (Engine.exec db q);
-    List.fold_left
-      (fun acc (i : Xmlindex.Xindex.t) ->
-        acc + i.Xmlindex.Xindex.stats.Xmlindex.Xindex.entries_scanned)
-      0 (Engine.xml_indexes db)
-  in
-  Printf.printf
-    "\nE11 (§3.10, Query 30) — between: singleton-safe pair = ONE range \
-     scan; general pair = index ANDing of two scans\n";
-  Printf.printf "  entries scanned, merged between (@price):   %6d\n"
-    (scanned merged);
-  Printf.printf "  entries scanned, IXAND between (price el):  %6d\n"
-    (scanned ixand);
-  experiment ~id:"E11 timings"
-    ~claim:"one range scan beats two scans + intersection"
-    [
-      { vname = "IXAND: two scans + intersect"; run = xq_n db ixand; note = "idx: price_el x2" };
-      { vname = "merged: single range scan"; run = xq_n db merged; note = "idx: li_price" };
-      { vname = "no index (scan)"; run = xq_noidx_n db merged; note = "baseline scan" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E12 — tolerant indexing (§2.1)                                      *)
-(* ------------------------------------------------------------------ *)
-
-let e12 () =
-  Printf.printf
-    "\nE12 (§2.1) — tolerant indexes: uncastable values are skipped, \
-     inserts never blocked\n";
-  let db = Engine.create () in
-  ignore (Engine.exec db "CREATE TABLE addresses (aid INTEGER, adoc XML)");
-  ddl db
-    [
-      "CREATE INDEX pc_num ON addresses(adoc) USING XMLPATTERN \
-       '//postalcode' AS DOUBLE";
-      "CREATE INDEX pc_str ON addresses(adoc) USING XMLPATTERN \
-       '//postalcode' AS VARCHAR(12)";
-    ];
-  Engine.load_documents db ~table:"addresses" ~column:"adoc"
-    (Workload.Feeds_gen.addresses ~canadian_frac:0.3 n_docs);
-  let entries name =
-    Xmlindex.Xindex.entry_count
-      (List.find
-         (fun (i : Xmlindex.Xindex.t) ->
-           i.Xmlindex.Xindex.def.Xmlindex.Xindex.iname = name)
-         (Engine.xml_indexes db))
-  in
-  Printf.printf
-    "  %d documents inserted; DOUBLE index entries: %d; VARCHAR index \
-     entries: %d (gap = tolerated Canadian postal codes)\n"
-    n_docs (entries "pc_num") (entries "pc_str");
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* E13 — scaling sweep (the paper's implicit "figure")                 *)
-(* ------------------------------------------------------------------ *)
-
-let e13 () =
-  Printf.printf
-    "\nE13 — scaling: eligible index probe vs collection scan as the \
-     collection grows (selectivity fixed at ~1%%)\n";
-  Printf.printf "  %8s %14s %14s %9s\n" "N docs" "scan" "indexed" "speedup";
-  List.iter
-    (fun n ->
-      let db = build_db ~n () in
-      ddl db
-        [
-          "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-           '//lineitem/@price' AS DOUBLE";
-        ];
-      let q = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>995]" in
-      let t_scan =
-        measure_ns ~quota:0.4 "scan" (fun () -> ignore (xq_noidx_n db q ()))
-      in
-      let t_idx =
-        measure_ns ~quota:0.4 "idx" (fun () -> ignore (xq_n db q ()))
-      in
-      Printf.printf "  %8d %14s %14s %8.1fx\n" n (pretty_ns t_scan)
-        (pretty_ns t_idx) (t_scan /. t_idx))
-    [ 1000; 4000; 16000 ];
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* E14 — index maintenance overhead (§2.1)                             *)
-(* ------------------------------------------------------------------ *)
-
-let e14 () =
-  Printf.printf
-    "\nE14 (§2.1) — maintenance: insert cost vs number (and breadth) of \
-     indexes (the paper's \"staggering\" index-everything warning)\n";
-  let docs =
-    Workload.Orders_gen.orders
-      { Workload.Orders_gen.default with n_customers = 50 }
-      200
-  in
-  (* Parse once, outside the timed region: the experiment measures
-     insert + index-maintenance cost, and re-parsing 200 documents per
-     iteration used to dominate (and flatten) the per-setup deltas. *)
-  let parsed =
-    let db = Engine.create () in
-    Engine.parse_documents db docs
-  in
-  let setups =
-    [
-      ("no indexes", []);
-      ( "1 path index",
-        [
-          "CREATE INDEX i1 ON orders(orddoc) USING XMLPATTERN \
-           '//lineitem/@price' AS DOUBLE";
-        ] );
-      ( "3 path indexes",
-        [
-          "CREATE INDEX i1 ON orders(orddoc) USING XMLPATTERN \
-           '//lineitem/@price' AS DOUBLE";
-          "CREATE INDEX i2 ON orders(orddoc) USING XMLPATTERN '//custid' \
-           AS DOUBLE";
-          "CREATE INDEX i3 ON orders(orddoc) USING XMLPATTERN \
-           '//product/id' AS VARCHAR(20)";
-        ] );
-      ( "broad //@* + //* indexes",
-        [
-          "CREATE INDEX b1 ON orders(orddoc) USING XMLPATTERN '//@*' AS \
-           DOUBLE";
-          "CREATE INDEX b2 ON orders(orddoc) USING XMLPATTERN '//*' AS \
-           VARCHAR(60)";
-        ] );
-    ]
-  in
-  Printf.printf "  %-28s %14s %12s %s\n" "setup" "time/200 docs" "docs/s"
-    "overhead";
-  let base = ref None in
-  List.iter
-    (fun (name, idxs) ->
-      let run () =
-        let db = Engine.create () in
-        ignore (Engine.exec db "CREATE TABLE orders (ordid INTEGER, orddoc XML)");
-        ddl db idxs;
-        Engine.load_parsed_documents db ~table:"orders" ~column:"orddoc"
-          parsed
-      in
-      let ns = measure_ns ~quota:1.0 name run in
-      let throughput = 200. /. (ns /. 1e9) in
-      if !base = None then base := Some ns;
-      Printf.printf "  %-28s %14s %12.0f %.2fx\n" name (pretty_ns ns)
-        throughput
-        (ns /. Option.get !base))
-    setups;
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* E15 — ablation: path-specific vs broad indexing (§2.1 design)       *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  (* RSS feeds carry several numeric attributes (fileSize, lat, long,
-     version): a broad //@* index is much larger than a targeted one. *)
-  let mk () =
-    let db = Engine.create () in
-    ignore (Engine.exec db "CREATE TABLE feeds (fid INTEGER, feed XML)");
-    Engine.load_documents db ~table:"feeds" ~column:"feed"
-      (Workload.Feeds_gen.feeds
-         { Workload.Feeds_gen.default with extension_frac = 0.6 }
-         n_docs);
-    db
-  in
-  let db_broad = mk () in
-  ddl db_broad
-    [
-      "CREATE INDEX broad_at ON feeds(feed) USING XMLPATTERN '//@*' AS        DOUBLE";
-    ];
-  let db_narrow = mk () in
-  ddl db_narrow
-    [
-      "CREATE INDEX fsize ON feeds(feed) USING XMLPATTERN        '//*:content/@fileSize' AS DOUBLE";
-    ];
-  let q =
-    "declare namespace media = \"http://search.yahoo.com/mrss/\";      db2-fn:xmlcolumn('FEEDS.FEED')//item[media:content/@fileSize > 95000]"
-  in
-  let size db =
-    Xmlindex.Xindex.entry_count (List.hd (Engine.xml_indexes db))
-  in
-  Printf.printf
-    "\nE15 (ablation, §2.1) — path-specific vs broad indexing: thanks to      the path table and value-major keys a broad //@* index still probes      one value range, but it stores (and maintains) every numeric      attribute in the collection\n";
-  Printf.printf
-    "  broad //@* index entries:              %6d\n    \  targeted //*:content/@fileSize entries: %5d\n"
-    (size db_broad) (size db_narrow);
-  experiment ~id:"E15 timings"
-    ~claim:"broad //@* vs targeted //*:content/@fileSize (feeds workload)"
-    [
-      { vname = "no index (scan)"; run = xq_noidx_n db_narrow q; note = "collection scan" };
-      { vname = "broad //@* index"; run = xq_n db_broad q; note = "idx: broad_at" };
-      { vname = "targeted @fileSize index"; run = xq_n db_narrow q; note = "idx: fsize" };
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* The paper-query corpus (shared by --governor-overhead and           *)
-(* --suite micro)                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** Build the corpus database: orders/customer/products plus the four
-    indexes the paper queries exercise. *)
-let corpus_db ~n () =
-  let db = build_db ~n () in
-  ddl db
-    [
-      "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS DOUBLE";
-      "CREATE INDEX li_price_v ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/@price' AS VARCHAR(20)";
-      "CREATE INDEX li_pid ON orders(orddoc) USING XMLPATTERN \
-       '//lineitem/product/id' AS VARCHAR(20)";
-      "CREATE INDEX c_custid ON customer(cdoc) USING XMLPATTERN \
-       '/customer/id' AS DOUBLE";
-    ];
+(** The gates' database: {!build_db} plus the four indexes the paper
+    queries exercise. *)
+let corpus_db ~n =
+  let db = build_db n () in
+  ddl db [ li_price; li_price_v; li_pid; c_custid ];
   db
+
+(** Generated orders for bulk-load measurements. *)
+let load_docs n =
+  Workload.Orders_gen.orders
+    { Workload.Orders_gen.default with n_customers = 50 }
+    n
 
 (** Every paper query whose evaluation is timing-meaningful, with a
-    stable id: [(id, label, run)]. Queries 4/6/10/12/14/20/23–25/28/29
-    are error-demonstration, namespace-setup or plan-inspection cases
-    and are exercised in test/t_paper.ml instead. *)
-let paper_corpus db : (string * string * (unit -> int)) list =
-  let xq id label src = (id, label, xq_n db src) in
-  let sql id label src = (id, label, sql_n db src) in
+    stable id: [(id, label, statement)]. Queries 4/6/10/12/14/20/23–25/
+    28/29 are error-demonstration, namespace-setup or plan-inspection
+    cases and are exercised in test/t_paper.ml instead. *)
+let corpus : (string * string * string) list =
   [
-    xq "Q1" "//order[lineitem/@price>990]"
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>990]";
-    xq "Q2" "@* wildcard (scan)"
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@*>990]";
-    xq "Q3" "string predicate"
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > \"990\"]";
-    sql "Q5" "XMLQuery select list"
+    ( "Q1",
+      "//order[lineitem/@price>990]",
+      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>990]" );
+    ( "Q2",
+      "@* wildcard (scan)",
+      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@*>990]" );
+    ( "Q3",
+      "string predicate",
+      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > \"990\"]" );
+    ( "Q5",
+      "XMLQuery select list",
       "SELECT XMLQuery('$o//lineitem[@price > 990]' passing orddoc as \
-       \"o\") FROM orders";
-    xq "Q7" "stand-alone XQuery"
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 990]";
-    sql "Q8" "XMLExists"
+       \"o\") FROM orders" );
+    ( "Q7",
+      "stand-alone XQuery",
+      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 990]" );
+    ( "Q8",
+      "XMLExists",
       "SELECT ordid, orddoc FROM orders WHERE \
-       XMLExists('$o//lineitem[@price > 990]' passing orddoc as \"o\")";
-    sql "Q9" "boolean XMLExists (scan)"
+       XMLExists('$o//lineitem[@price > 990]' passing orddoc as \"o\")" );
+    ( "Q9",
+      "boolean XMLExists (scan)",
       "SELECT ordid, orddoc FROM orders WHERE \
-       XMLExists('$o//lineitem/@price > 990' passing orddoc as \"o\")";
-    sql "Q11" "XMLTable row-producer"
+       XMLExists('$o//lineitem/@price > 990' passing orddoc as \"o\")" );
+    ( "Q11",
+      "XMLTable row-producer",
       "SELECT o.ordid, t.li FROM orders o, XMLTable('$o//lineitem[@price \
        > 990]' passing o.orddoc as \"o\" COLUMNS \"li\" XML BY REF PATH \
-       '.') as t(li)";
-    sql "Q13" "product join in XQuery"
+       '.') as t(li)" );
+    ( "Q13",
+      "product join in XQuery",
       "SELECT p.name FROM products p, orders o WHERE XMLExists('$o \
        //lineitem/product[id eq $pid]' passing o.orddoc as \"o\", p.id \
-       as \"pid\")";
-    sql "Q15" "SQL-side XML join (scan)"
+       as \"pid\")" );
+    ( "Q15",
+      "SQL-side XML join (scan)",
       "SELECT c.cid FROM orders o, customer c WHERE \
        XMLCast(XMLQuery('$o/order/custid' passing o.orddoc as \"o\") as \
        DOUBLE) = XMLCast(XMLQuery('$c/customer/id' passing c.cdoc as \
-       \"c\") as DOUBLE)";
-    sql "Q16" "XQuery-side join + casts"
+       \"c\") as DOUBLE)" );
+    ( "Q16",
+      "XQuery-side join + casts",
       "SELECT c.cid FROM orders o, customer c WHERE \
        XMLExists('$o/order[custid/xs:double(.) = \
        $c/customer/id/xs:double(.)]' passing o.orddoc as \"o\", c.cdoc \
-       as \"c\")";
-    xq "Q17" "for binding"
+       as \"c\")" );
+    ( "Q17",
+      "for binding",
       "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') for $i in \
-       $d//lineitem[@price > 990] return <result>{$i}</result>";
-    xq "Q18" "let binding (scan)"
+       $d//lineitem[@price > 990] return <result>{$i}</result>" );
+    ( "Q18",
+      "let binding (scan)",
       "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') let $i := \
-       $d//lineitem[@price > 990] return <result>{$i}</result>";
-    xq "Q19" "ctor in return (scan)"
+       $d//lineitem[@price > 990] return <result>{$i}</result>" );
+    ( "Q19",
+      "ctor in return (scan)",
       "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return \
-       <result>{$o/lineitem[@price > 990]}</result>";
-    xq "Q21" "let + where"
+       <result>{$o/lineitem[@price > 990]}</result>" );
+    ( "Q21",
+      "let + where",
       "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order let $p := \
        $o/lineitem/@price where $p > 990 return \
-       <result>{$o/lineitem}</result>";
-    xq "Q22" "bare path in return"
+       <result>{$o/lineitem}</result>" );
+    ( "Q22",
+      "bare path in return",
       "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return \
-       $o/lineitem[@price > 990]";
-    xq "Q26" "constructed view (scan)"
+       $o/lineitem[@price > 990]" );
+    ( "Q26",
+      "constructed view (scan)",
       "let $view := for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') \
        /order/lineitem return <item quantity=\"{$i/quantity}\"> \
        <pid>{$i/product/id/data(.)}</pid></item> for $j in $view where \
-       $j/pid = 'p3' return $j";
-    xq "Q27" "base collection"
+       $j/pid = 'p3' return $j" );
+    ( "Q27",
+      "base collection",
       "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem where \
-       $i/product/id = 'p3' return $i/quantity";
-    xq "Q30" "attribute between"
+       $i/product/id = 'p3' return $i/quantity" );
+    ( "Q30",
+      "attribute between",
       "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') \
-       //order[lineitem[@price>100 and @price<200]] return $i";
+       //order[lineitem[@price>100 and @price<200]] return $i" );
   ]
+
+let paper id =
+  let _, _, src = List.find (fun (i, _, _) -> i = id) corpus in
+  src
+
+let count (o : Engine.outcome) =
+  match o.Engine.payload with
+  | Engine.Rows { rows; _ } -> List.length rows
+  | Engine.Items items -> List.length items
+
+(** One profiled run: the statement's outcome and its work counters. *)
+let profiled db src =
+  Engine.set_profiling db true;
+  let o = Engine.exec db src in
+  let counters = Xprof.counters (Engine.profile db) in
+  Engine.set_profiling db false;
+  (o, counters)
+
+(* ------------------------------------------------------------------ *)
+(* Experiments E1–E15                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type stmt =
+  | Query of string
+  | Load of int
+      (** bulk-load this many parsed orders into a fresh database from the
+          experiment's spec, running the variant's DDL first *)
+
+type variant = {
+  label : string;
+  stmt : stmt;
+  indexed : bool;  (** false: the planner uses no index *)
+  vddl : string list;
+      (** run on the experiment's database first (for a [Load], on each
+          fresh database) *)
+}
+
+type experiment = {
+  id : string;
+  claim : string;
+  db : unit -> Engine.t;
+  eddl : string list;
+  variants : variant list;
+}
+
+let exp id claim db eddl variants = { id; claim; db; eddl; variants }
+
+let v ?(indexed = true) ?(ddl = []) label src =
+  { label; stmt = Query src; indexed; vddl = ddl }
+
+let load ?(ddl = []) label n =
+  { label; stmt = Load n; indexed = true; vddl = ddl }
+
+(** A fresh engine with one table created and [docs] loaded into it. *)
+let table_db create ~table ~column docs () =
+  let db = Engine.create () in
+  ddl db [ create ];
+  Engine.load_documents db ~table ~column docs;
+  db
+
+let e13 n =
+  let q = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>995]" in
+  exp
+    (Printf.sprintf "E13 (scaling, %d docs)" n)
+    "eligible index probe vs collection scan as the collection grows \
+     (selectivity fixed at ~1%)"
+    (build_db n) [ li_price ]
+    [ v ~indexed:false "scan" q; v "indexed" q ]
+
+let experiments : experiment list =
+  [
+    exp "E1 (§2.2, Queries 1–2)"
+      "li_price is eligible for Query 1 (pattern ⊇ query) but not Query 2 \
+       (@* is less restrictive than the index)"
+      (build_db 4000) [ li_price ]
+      [
+        v ~indexed:false "Query 1, collection scan" (paper "Q1");
+        v "Query 1, indexed" (paper "Q1");
+        v "Query 2 (@*), indexed plan = scan" (paper "Q2");
+      ];
+    exp "E2 (§3.1, Query 3)"
+      "a quoted literal makes the predicate a *string* comparison: the \
+       DOUBLE index is ineligible, a VARCHAR index serves it (with string \
+       ordering!)"
+      (build_db 4000) [ li_price; li_price_v ]
+      [
+        v ~indexed:false "numeric predicate, scan" (paper "Q1");
+        v "numeric predicate (DOUBLE index)" (paper "Q1");
+        v "string predicate (VARCHAR index)" (paper "Q3");
+      ];
+    exp "E3 (§3.2, Queries 5–12)"
+      "XMLQuery in the select list cannot filter (all rows, no index); \
+       XMLExists and the XMLTable row-producer can; a boolean inside \
+       XMLExists silently selects everything"
+      (build_db 4000) [ li_price ]
+      [
+        v "Query 5: XMLQuery select list" (paper "Q5");
+        v "Query 8: XMLExists" (paper "Q8");
+        v "Query 9: boolean XMLExists (trap)" (paper "Q9");
+        v "Query 7: stand-alone XQuery" (paper "Q7");
+        v "Query 11: XMLTable row-producer" (paper "Q11");
+      ];
+    exp "E4 (§3.3, Queries 13–16)"
+      "joins expressed in XQuery use XML indexes (nested-loop probes); \
+       SQL-side joins through XMLCast use none"
+      (build_db 1500) [ li_pid; c_custid ]
+      [
+        v "Query 15: SQL-side XML join" (paper "Q15");
+        v "Query 16: XQuery-side join + casts" (paper "Q16");
+        v "Query 13: product join in XQuery" (paper "Q13");
+        v ~indexed:false "Query 13 without li_pid (scan)" (paper "Q13");
+      ];
+    exp "E5 (§3.4, Queries 17–22)"
+      "for-bindings and where-clauses filter (indexable); let-bindings and \
+       constructor-wrapped predicates preserve empties (full scan, \
+       different results)"
+      (build_db 4000) [ li_price ]
+      [
+        v "Query 18: let (scan, 1 result/doc)" (paper "Q18");
+        v "Query 17: for" (paper "Q17");
+        v "Query 21: let + where" (paper "Q21");
+        v "Query 19: ctor in return (scan)" (paper "Q19");
+        v "Query 22: bare path in return" (paper "Q22");
+      ];
+    exp "E7 (§3.6, Queries 26–27)"
+      "predicates over a constructed view cannot be pushed down (fresh node \
+       identities, untypedAtomic): the view query materializes everything; \
+       the base-collection rewrite uses the index"
+      (build_db 4000) [ li_pid ]
+      [
+        v "Query 26: constructed view" (paper "Q26");
+        v "Query 27: base collection" (paper "Q27");
+      ];
+    (let q =
+       "declare namespace c=\"http://ournamespaces.com/customer\"; \
+        db2-fn:xmlcolumn('CUSTOMER.CDOC')/c:customer[c:nation = 1]"
+     in
+     exp "E8 (§3.7, Query 28)"
+       "an index without namespace declarations only holds no-namespace \
+        elements: ineligible for namespaced queries; the *:wildcard index \
+        works"
+       (table_db "CREATE TABLE customer (cid INTEGER, cdoc XML)"
+          ~table:"customer" ~column:"cdoc"
+          (Workload.Orders_gen.customers
+             {
+               Workload.Orders_gen.default with
+               n_customers = 4000;
+               namespace = Some "http://ournamespaces.com/customer";
+             }))
+       [ index "c_nation" "customer(cdoc)" "//nation" "DOUBLE" ]
+       [
+         v "only ns-less c_nation = scan" q;
+         v "with //*:nation wildcard index" q
+           ~ddl:[ index "c_nation_ns2" "customer(cdoc)" "//*:nation" "DOUBLE" ];
+       ]);
+    (let q =
+       "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/price/text() > \
+        \"99\"]"
+     in
+     exp "E9 (§3.8, Query 29)"
+       "a /text() query cannot use an element-value index (they disagree on \
+        nodes like <price>99.50<currency>USD</currency></price>); it needs a \
+        /text() index"
+       (table_db "CREATE TABLE orders (ordid INTEGER, orddoc XML)"
+          ~table:"orders" ~column:"orddoc"
+          (Workload.Orders_gen.orders
+             { Workload.Orders_gen.default with string_price_frac = 0.3 }
+             4000))
+       [ index "price_el" "orders(orddoc)" "//price" "VARCHAR(30)" ]
+       [
+         v "only element index = scan" q;
+         v "with //price/text() index" q
+           ~ddl:
+             [
+               index "price_tx" "orders(orddoc)" "//price/text()"
+                 "VARCHAR(30)";
+             ];
+       ]);
+    exp "E10 (§3.9, Tip 12)"
+      "//* and //node() indexes contain no attribute nodes; the broad //@* \
+       index covers a numeric predicate on *any* attribute"
+      (build_db 4000)
+      [ index "broad_el" "orders(orddoc)" "//*" "VARCHAR(50)" ]
+      [
+        v "only //* index = scan" (paper "Q1");
+        v "with //@* broad attribute index" (paper "Q1")
+          ~ddl:
+            [
+              "DROP INDEX broad_el";
+              index "broad_at" "orders(orddoc)" "//@*" "DOUBLE";
+            ];
+      ];
+    (let merged =
+       "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem[@price>500 and \
+        @price<510]]"
+     in
+     exp "E11 (§3.10, Query 30)"
+       "between: a singleton-safe pair is ONE range scan (few entries \
+        scanned); a general pair is index ANDing of two scans"
+       (build_db 4000)
+       [
+         li_price;
+         index "price_el" "orders(orddoc)" "//lineitem/price" "DOUBLE";
+       ]
+       [
+         v "IXAND: two scans + intersect"
+           "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/price > 500 and \
+            lineitem/price < 510]";
+         v "merged: single range scan" merged;
+         v ~indexed:false "no index (scan)" merged;
+       ]);
+    e13 1000;
+    e13 4000;
+    e13 16000;
+    exp "E14 (§2.1)"
+      "maintenance: insert cost of 200 parsed orders vs number (and breadth) \
+       of indexes (the paper's \"staggering\" index-everything warning)"
+      (table_db "CREATE TABLE orders (ordid INTEGER, orddoc XML)"
+         ~table:"orders" ~column:"orddoc" [])
+      []
+      [
+        load "no indexes" 200;
+        load "1 path index" 200
+          ~ddl:[ index "i1" "orders(orddoc)" "//lineitem/@price" "DOUBLE" ];
+        load "3 path indexes" 200
+          ~ddl:
+            [
+              index "i1" "orders(orddoc)" "//lineitem/@price" "DOUBLE";
+              index "i2" "orders(orddoc)" "//custid" "DOUBLE";
+              index "i3" "orders(orddoc)" "//product/id" "VARCHAR(20)";
+            ];
+        load "broad //@* + //* indexes" 200
+          ~ddl:
+            [
+              index "b1" "orders(orddoc)" "//@*" "DOUBLE";
+              index "b2" "orders(orddoc)" "//*" "VARCHAR(60)";
+            ];
+      ];
+    (* RSS feeds carry several numeric attributes (fileSize, lat, long,
+       version): a broad //@* index is much larger than a targeted one *)
+    (let q =
+       "declare namespace media = \"http://search.yahoo.com/mrss/\"; \
+        db2-fn:xmlcolumn('FEEDS.FEED')//item[media:content/@fileSize > \
+        95000]"
+     in
+     exp "E15 (ablation, §2.1)"
+       "path-specific vs broad indexing: thanks to the path table and \
+        value-major keys a broad //@* index still probes one value range, \
+        but it stores (and maintains) every numeric attribute"
+       (table_db "CREATE TABLE feeds (fid INTEGER, feed XML)" ~table:"feeds"
+          ~column:"feed"
+          (Workload.Feeds_gen.feeds
+             { Workload.Feeds_gen.default with extension_frac = 0.6 }
+             4000))
+       []
+       [
+         v ~indexed:false "no index (scan)" q;
+         v "broad //@* index" q
+           ~ddl:[ index "broad_at" "feeds(feed)" "//@*" "DOUBLE" ];
+         v "targeted @fileSize index" q
+           ~ddl:
+             [
+               "DROP INDEX broad_at";
+               index "fsize" "feeds(feed)" "//*:content/@fileSize" "DOUBLE";
+             ];
+       ]);
+  ]
+
+(** Run [stmts] on [db], then print the entry count of every XML index
+    (what a broad index costs to store). *)
+let setup db stmts =
+  if stmts <> [] then begin
+    ddl db stmts;
+    List.iter
+      (fun (i : Xmlindex.Xindex.t) ->
+        Printf.printf "  index %s: %d entries\n" i.def.iname
+          (Xmlindex.Xindex.entry_count i))
+      (Engine.xml_indexes db)
+  end
+
+(** Median ms per execution over about half a second of batched samples,
+    each batch lasting at least a millisecond. *)
+let time_per_exec run =
+  let once = Float.max (p50_ms ~iters:1 run) 1e-3 in
+  p50_ms ~batch:(max 1 (truncate (1. /. once))) ~secs:0.5 ~iters:max_int run
+
+let run_experiment e =
+  Printf.printf "\n%s — %s\n" e.id e.claim;
+  let db = e.db () in
+  setup db e.eddl;
+  Printf.printf "  %-38s %12s %7s  %-20s %-18s %s\n" "variant" "time/exec"
+    "results" "probes/entries/docs" "indexes" "speedup";
+  let base = ref None in
+  let variant v =
+    let statement src =
+      setup db v.vddl;
+      Engine.set_use_indexes db v.indexed;
+      let o, counters = profiled db src in
+      let c name = List.assoc name counters in
+      ( (fun () -> ignore (Engine.exec db src)),
+        count o,
+        Printf.sprintf "%d/%d/%d" (c "index_probes")
+          (c "index_entries_scanned") (c "docs_scanned"),
+        match o.indexes_used with [] -> "none" | l -> String.concat "," l )
+    in
+    let run, rows, counters, used =
+      match v.stmt with
+      | Query src -> statement src
+      | Load n ->
+          let parsed =
+            Engine.parse_documents (Engine.create ()) (load_docs n)
+          in
+          let load () =
+            let fresh = e.db () in
+            ddl fresh v.vddl;
+            Engine.load_parsed_documents fresh ~table:"orders" ~column:"orddoc"
+              parsed
+          in
+          (load, n, "-", Printf.sprintf "%d" (List.length v.vddl))
+    in
+    let ms = time_per_exec run in
+    Engine.set_use_indexes db true;
+    let b = Option.value !base ~default:ms in
+    base := Some b;
+    Printf.printf "  %-38s %9.3f ms %7d  %-20s %-18s %.1fx\n%!" v.label ms rows
+      counters used (b /. ms)
+  in
+  List.iter variant e.variants
+
+(* ------------------------------------------------------------------ *)
+(* Gates                                                               *)
+(* ------------------------------------------------------------------ *)
 
 (** Generous-but-armed limits: every budget far above what any corpus
     query uses, so the armed runs measure metering cost, not throttling. *)
@@ -808,951 +544,235 @@ let generous_limits =
     timeout = Some 300.;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Governor overhead (--governor-overhead)                             *)
-(* ------------------------------------------------------------------ *)
+let floats kvs = J.Obj (List.map (fun (k, f) -> (k, J.Float f)) kvs)
+let ints kvs = J.Obj (List.map (fun (k, i) -> (k, J.Int i)) kvs)
 
-(** Measures the cost of running with the resource governor armed.
+let sample2 ?batch ~iters f g =
+  match sample ?batch ~iters [ f; g ] with
+  | [ a; b ] -> (a, b)
+  | _ -> assert false
 
-    Each corpus query is run twice over the same 500-document database:
-    once with limits disabled (unarmed meter — the single [armed] branch
-    per eval step) and once with generous-but-armed limits, and the
-    per-query overhead distribution (mean/p50/p95) is reported. *)
-let governor_overhead () =
-  let db = corpus_db ~n:500 () in
-  let armed = generous_limits in
+(** The paper-query corpus over 150 orders: per-query latency
+    percentiles (profiling off), the counters of one profiled run, the
+    eligible/ineligible probe-vs-scan pairs, and the governor overhead:
+    each query is timed unarmed and with {!generous_limits} armed,
+    interleaved. *)
+let micro () =
+  let db = corpus_db ~n:150 in
   let queries =
     List.map
-      (fun (id, label, run) -> (id ^ ": " ^ label, run))
-      (paper_corpus db)
-  in
-  Printf.printf
-    "Governor overhead — paper query suite, 500 orders, limits off vs \
-     armed (%s)\n"
-    (Xdm.Limits.to_string armed);
-  Printf.printf "  %-36s %12s %12s %9s\n" "query" "limits off" "limits on"
-    "overhead";
-  let overheads = Xprof.Hist.create () in
-  List.iter
-    (fun (name, run) ->
-      Engine.set_limits db Xdm.Limits.unlimited;
-      ignore (run ());
-      let off = measure_ns ~quota:0.25 (name ^ " off") (fun () -> ignore (run ())) in
-      Engine.set_limits db armed;
-      ignore (run ());
-      let on = measure_ns ~quota:0.25 (name ^ " on") (fun () -> ignore (run ())) in
-      let pct = (on -. off) /. off *. 100. in
-      Printf.printf "  %-36s %12s %12s %+8.1f%%\n" name (pretty_ns off)
-        (pretty_ns on) pct;
-      flush stdout;
-      Xprof.Hist.add overheads pct)
-    queries;
-  Engine.set_limits db Xdm.Limits.unlimited;
-  Printf.printf
-    "\n  governor overhead over %d queries: mean %+.1f%%  p50 %+.1f%%  \
-     p95 %+.1f%%\n"
-    (Xprof.Hist.count overheads)
-    (Xprof.Hist.mean overheads)
-    (Xprof.Hist.p50 overheads)
-    (Xprof.Hist.p95 overheads)
-
-(* ------------------------------------------------------------------ *)
-(* Micro suite (--suite micro): BENCH_micro.json                       *)
-(* ------------------------------------------------------------------ *)
-
-module J = Xprof.Json
-
-(** Run the paper-query corpus, collecting per-query latency percentiles
-    (profiling OFF, so timing is unperturbed), profiled counters from one
-    instrumented run, the paper's eligible/ineligible probe-vs-scan
-    contrast, and the governor-overhead distribution. Writes [out]
-    (BENCH_micro.json). [--quick] shrinks the database and iteration
-    count for CI smoke runs. *)
-let micro_suite ~quick ~out () =
-  let n = if quick then 150 else 500 in
-  let iters = if quick then 3 else 10 in
-  Printf.printf
-    "micro suite — paper query corpus over %d orders, %d timing \
-     iterations%s\n"
-    n iters
-    (if quick then " (--quick)" else "");
-  let db = corpus_db ~n () in
-  let corpus = paper_corpus db in
-  let counters_by_id : (string, (string * int) list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let gov_pcts = Xprof.Hist.create () in
-  let time_once run =
-    let t0 = Unix.gettimeofday () in
-    ignore (run ());
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  let queries_json =
-    List.map
-      (fun (id, label, run) ->
-        (* one profiled run: counters + result cardinality *)
-        Engine.set_profiling db true;
-        let rows = run () in
-        let counters = Xprof.counters (Engine.profile db) in
-        Engine.set_profiling db false;
-        Hashtbl.replace counters_by_id id counters;
-        (* latency distribution, profiling off *)
-        let lat = Xprof.Hist.create () in
-        for _ = 1 to iters do
-          Xprof.Hist.add lat (time_once run)
-        done;
-        (* governor overhead: armed vs unarmed medians *)
-        Engine.set_limits db generous_limits;
-        let lat_armed = Xprof.Hist.create () in
-        for _ = 1 to iters do
-          Xprof.Hist.add lat_armed (time_once run)
-        done;
-        Engine.set_limits db Xdm.Limits.unlimited;
-        let off = Xprof.Hist.p50 lat and on = Xprof.Hist.p50 lat_armed in
-        if off > 0. then Xprof.Hist.add gov_pcts ((on -. off) /. off *. 100.);
-        Printf.printf
-          "  %-4s %-28s %5d rows  p50 %8.3f ms  p95 %8.3f ms  probes %d  \
-           docs %d\n"
-          id label rows (Xprof.Hist.p50 lat) (Xprof.Hist.p95 lat)
-          (List.assoc "index_probes" counters)
-          (List.assoc "docs_scanned" counters);
-        flush stdout;
-        J.Obj
-          [
-            ("id", J.Str id);
-            ("label", J.Str label);
-            ("rows", J.Int rows);
-            ("latency_ms", Xprof.Hist.summary_json lat);
-            ( "counters",
-              J.Obj (List.map (fun (k, v) -> (k, J.Int v)) counters) );
-          ])
+      (fun (id, label, src) ->
+        let o, counters = profiled db src in
+        let lat, armed =
+          sample2 ~iters:3
+            (fun () -> ignore (Engine.exec db src))
+            (fun () -> ignore (Engine.exec ~limits:generous_limits db src))
+        in
+        let off = Xprof.Hist.p50 lat and on = Xprof.Hist.p50 armed in
+        ( (id, counters),
+          (on -. off) /. off *. 100.,
+          J.Obj
+            [
+              ("id", J.Str id);
+              ("label", J.Str label);
+              ("rows", J.Int (count o));
+              ("latency_ms", Xprof.Hist.summary_json lat);
+              ("armed_p50_ms", J.Float on);
+              ("counters", ints counters);
+            ] ))
       corpus
   in
-  (* the paper's eligible/ineligible contrast, machine-checkable:
-     profiled index probes of the eligible query must be strictly less
-     than the documents its ineligible twin scans *)
-  let pairs =
+  let counter id name =
+    List.assoc name (List.assoc id (List.map (fun (c, _, _) -> c) queries))
+  in
+  let pair (elig, inelig) =
+    J.Obj
+      [
+        ("pair", J.Str (elig ^ "/" ^ inelig));
+        ("index_probes", J.Int (counter elig "index_probes"));
+        ("docs_scanned", J.Int (counter inelig "docs_scanned"));
+      ]
+  in
+  let gov = Xprof.Hist.create () in
+  List.iter
+    (fun (_, pct, _) -> if Float.is_finite pct then Xprof.Hist.add gov pct)
+    queries;
+  J.Obj
     [
-      ("Q1", "Q2");
-      ("Q8", "Q9");
-      ("Q16", "Q15");
-      ("Q17", "Q18");
-      ("Q22", "Q19");
-      ("Q27", "Q26");
+      ("queries", J.Arr (List.map (fun (_, _, j) -> j) queries));
+      ( "pairs",
+        J.Arr
+          (List.map pair
+             [
+               ("Q1", "Q2");
+               ("Q8", "Q9");
+               ("Q16", "Q15");
+               ("Q17", "Q18");
+               ("Q22", "Q19");
+               ("Q27", "Q26");
+             ]) );
+      ("governor_overhead_pct", Xprof.Hist.summary_json gov);
     ]
-  in
-  let pairs_json =
-    List.map
-      (fun (elig, inelig) ->
-        let ce = Hashtbl.find counters_by_id elig in
-        let ci = Hashtbl.find counters_by_id inelig in
-        let probes = List.assoc "index_probes" ce in
-        let docs = List.assoc "docs_scanned" ci in
-        let ok = probes < docs in
-        Printf.printf "  pair %s/%s: %d probes vs %d docs scanned — %s\n"
-          elig inelig probes docs
-          (if ok then "ok" else "VIOLATION");
-        J.Obj
-          [
-            ("eligible", J.Str elig);
-            ("ineligible", J.Str inelig);
-            ("index_probes", J.Int probes);
-            ("docs_scanned", J.Int docs);
-            ("ok", J.Bool ok);
-          ])
-      pairs
-  in
-  let json =
+
+(** Cold (plan cache dropped every run) vs warm (cache hit) vs prepared
+    p50 on the compile-sensitive corpus subset — indexed, selective
+    queries where parse + resolve + eligibility analysis is a visible
+    share of latency — plus cursor first-row vs full-materialization
+    latency on scan-heavy statements. *)
+let prepared () =
+  let db = corpus_db ~n:150 in
+  let iters = 21 and batch = 5 in
+  let query (id, _, src) =
+    let st = Engine.prepare db src in
+    let cold () =
+      Engine.reset_plan_cache db;
+      ignore (Engine.exec db src)
+    in
+    let warm () = ignore (Engine.exec db src) in
+    let prep () = ignore (Engine.execute st) in
+    let p50s =
+      List.map Xprof.Hist.p50 (sample ~iters ~batch [ cold; warm; prep ])
+    in
     J.Obj
       [
-        ("suite", J.Str "micro");
-        ("quick", J.Bool quick);
-        ("n_docs", J.Int n);
-        ("iterations", J.Int iters);
-        ("queries", J.Arr queries_json);
-        ("pairs", J.Arr pairs_json);
-        ( "governor_overhead_pct",
-          J.Obj
-            [
-              ("n", J.Int (Xprof.Hist.count gov_pcts));
-              ("mean", J.Float (Xprof.Hist.mean gov_pcts));
-              ("p50", J.Float (Xprof.Hist.p50 gov_pcts));
-              ("p95", J.Float (Xprof.Hist.p95 gov_pcts));
-            ] );
+        ("id", J.Str id);
+        ("rows", J.Int (count (Engine.exec db src)));
+        ("cold_p50_ms", J.Float (List.nth p50s 0));
+        ("warm_p50_ms", J.Float (List.nth p50s 1));
+        ("prepared_p50_ms", J.Float (List.nth p50s 2));
       ]
   in
-  Out_channel.with_open_text out (fun oc ->
-      output_string oc (J.to_string json);
-      output_char oc '\n');
-  Printf.printf "wrote %s (%d queries, %d pairs)\n" out
-    (List.length queries_json) (List.length pairs_json)
-
-(* ------------------------------------------------------------------ *)
-(* Prepared-statement suite (--suite prepared): the "prepared" section  *)
-(* of BENCH_micro.json                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** First index of [needle] in [hay], if any. *)
-let find_substring (hay : string) (needle : string) : int option =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  if nn = 0 then None else go 0
-
-(** Add (or replace) a top-level [key] section in the JSON object stored
-    at [out]. [Xprof.Json] is emit-only, so this is a textual splice: the
-    existing object's final [}] (or a previously spliced [key] section,
-    which is always last) is replaced with the new section. A missing or
-    non-object file is rewritten as a fresh object. *)
-let splice_section ~(out : string) ~(key : string) (section : J.t) =
-  let rendered = J.to_string (J.Obj [ (key, section) ]) in
-  let body = String.sub rendered 1 (String.length rendered - 2) in
-  let fresh () = "{\"suite\":\"prepared\"," ^ body ^ "}" in
-  let merged =
-    if not (Sys.file_exists out) then fresh ()
-    else
-      let s = String.trim (In_channel.with_open_text out In_channel.input_all) in
-      if s = "" || s.[String.length s - 1] <> '}' then fresh ()
-      else
-        let prefix =
-          match find_substring s (",\"" ^ key ^ "\":") with
-          | Some i -> String.sub s 0 i
-          | None -> String.sub s 0 (String.length s - 1)
-        in
-        prefix ^ "," ^ body ^ "}"
-  in
-  Out_channel.with_open_text out (fun oc ->
-      output_string oc merged;
-      output_char oc '\n')
-
-(** One timing sample: milliseconds per run over a batch of [batch]
-    back-to-back runs (batching amortizes clock-read noise on the
-    sub-millisecond statements this suite measures). *)
-let sample_ms ~batch (f : unit -> unit) : float =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to batch do
-    f ()
-  done;
-  (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int batch
-
-(** Median milliseconds per run of [f] over [iters] batched samples. *)
-let p50_ms ~iters ~batch (f : unit -> unit) : float =
-  let h = Xprof.Hist.create () in
-  for _ = 1 to iters do
-    Xprof.Hist.add h (sample_ms ~batch f)
-  done;
-  Xprof.Hist.p50 h
-
-(** Median ms/run for several workloads measured together: each round
-    takes one batched sample of every workload, so scheduler drift and
-    GC pressure land on all of them equally instead of biasing whichever
-    was measured last. *)
-let p50_interleaved ~iters ~batch (fns : (unit -> unit) list) : float list =
-  let hists = List.map (fun _ -> Xprof.Hist.create ()) fns in
-  for _ = 1 to iters do
-    List.iter2 (fun h f -> Xprof.Hist.add h (sample_ms ~batch f)) hists fns
-  done;
-  List.map Xprof.Hist.p50 hists
-
-(** The compile-sensitive corpus subset measured by the prepared suite:
-    queries whose indexed/selective execution makes the cached front half
-    (parse + resolve + eligibility analysis) a visible fraction of total
-    latency. Full-scan queries stay in the micro suite. *)
-let prepared_corpus : (string * string * string) list =
-  [
-    ( "Q1",
-      "//order[lineitem/@price>990]",
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price>990]" );
-    ( "Q3",
-      "string predicate",
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > \"990\"]" );
-    ( "Q7",
-      "stand-alone XQuery",
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 990]" );
-    ( "Q8",
-      "XMLExists",
-      "SELECT ordid, orddoc FROM orders WHERE XMLExists('$o//lineitem[@price \
-       > 990]' passing orddoc as \"o\")" );
-    ( "Q11",
-      "XMLTable row-producer",
-      "SELECT o.ordid, t.li FROM orders o, XMLTable('$o//lineitem[@price > \
-       990]' passing o.orddoc as \"o\" COLUMNS \"li\" XML BY REF PATH '.') \
-       as t(li)" );
-    ( "Q27",
-      "base collection",
-      "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem where \
-       $i/product/id = 'p3' return $i/quantity" );
-    ( "Q30",
-      "attribute between",
-      "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') \
-       //order[lineitem[@price>100 and @price<200]] return $i" );
-  ]
-
-(** Scan-heavy statements for the cursor first-row contrast: results per
-    pull, so the first row arrives after one document / one table row
-    rather than after the full materialization. *)
-let cursor_corpus : (string * string * string) list =
-  [
-    ( "C1",
-      "//lineitem (all, streamed per doc)",
-      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem" );
-    ("C2", "SELECT ordid FROM orders", "SELECT ordid FROM orders");
-    ( "C3",
-      "FLWOR streamed per doc",
-      "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') return \
-       $d//order/lineitem" );
-  ]
-
-let outcome_length (o : Engine.outcome) =
-  match o.Engine.payload with
-  | Engine.Rows { rows; _ } -> List.length rows
-  | Engine.Items items -> List.length items
-
-(** Cold vs warm vs prepared p50 per compile-sensitive paper query, plus
-    cursor first-row vs full-materialization latency. Splices the
-    ["prepared"] section into [out] (normally BENCH_micro.json, after the
-    micro suite wrote it). *)
-let prepared_suite ~quick ~out () =
-  let n = if quick then 150 else 500 in
-  let iters = if quick then 21 else 41 in
-  let batch = 5 in
-  Printf.printf
-    "prepared suite — compile-sensitive corpus over %d orders, %d timing \
-     iterations%s\n"
-    n iters
-    (if quick then " (--quick)" else "");
-  let db = corpus_db ~n () in
-  Printf.printf "  %-4s %-28s %5s %10s %10s %10s %8s\n" "id" "label" "rows"
-    "cold p50" "warm p50" "prep p50" "speedup";
-  let queries_json =
-    List.map
-      (fun (id, label, src) ->
-        let rows = outcome_length (Engine.exec db src) in
-        let st = Engine.prepare db src in
-        let cold_run () =
-          (* every run recompiles: the cache is dropped first *)
-          Engine.reset_plan_cache db;
-          ignore (Engine.exec db src)
-        in
-        (* the un-prepared exec path amortized by the plan cache *)
-        let warm_run () = ignore (Engine.exec db src) in
-        let prep_run () = ignore (Engine.execute st) in
-        ignore (Engine.exec db src);
-        let cold, warm, prep =
-          match p50_interleaved ~iters ~batch [ cold_run; warm_run; prep_run ] with
-          | [ c; w; p ] -> (c, w, p)
-          | _ -> assert false
-        in
-        let ok = prep < cold && warm < cold in
-        Printf.printf "  %-4s %-28s %5d %8.3fms %8.3fms %8.3fms %7.2fx%s\n"
-          id label rows cold warm prep
-          (cold /. prep)
-          (if ok then "" else "  VIOLATION");
-        flush stdout;
-        J.Obj
-          [
-            ("id", J.Str id);
-            ("label", J.Str label);
-            ("rows", J.Int rows);
-            ("cold_p50_ms", J.Float cold);
-            ("warm_p50_ms", J.Float warm);
-            ("prepared_p50_ms", J.Float prep);
-            ("speedup_cold_over_prepared", J.Float (cold /. prep));
-            ("ok", J.Bool ok);
-          ])
-      prepared_corpus
-  in
-  Printf.printf "  %-4s %-34s %5s %12s %12s\n" "id" "cursor statement" "rows"
-    "first row" "full exec";
-  let cursor_json =
-    List.map
-      (fun (id, label, src) ->
-        let rows = outcome_length (Engine.exec db src) in
-        let full = p50_ms ~iters ~batch (fun () -> ignore (Engine.exec db src)) in
-        let first_row =
-          p50_ms ~iters ~batch (fun () ->
-              let cur = Engine.open_cursor db src in
-              ignore (Engine.Cursor.next cur);
-              Engine.Cursor.close cur)
-        in
-        let ok = first_row < full in
-        Printf.printf "  %-4s %-34s %5d %10.3fms %10.3fms%s\n" id label rows
-          first_row full
-          (if ok then "" else "  VIOLATION");
-        flush stdout;
-        J.Obj
-          [
-            ("id", J.Str id);
-            ("label", J.Str label);
-            ("rows", J.Int rows);
-            ("first_row_p50_ms", J.Float first_row);
-            ("full_p50_ms", J.Float full);
-            ("ok", J.Bool ok);
-          ])
-      cursor_corpus
-  in
-  let stats = Engine.plan_cache_stats db in
-  let section =
+  let cursor src =
+    let full, first_row =
+      sample2 ~iters ~batch
+        (fun () -> ignore (Engine.exec db src))
+        (fun () ->
+          let cur = Engine.open_cursor db src in
+          ignore (Engine.Cursor.next cur);
+          Engine.Cursor.close cur)
+    in
     J.Obj
       [
-        ("n_docs", J.Int n);
-        ("iterations", J.Int iters);
-        ("queries", J.Arr queries_json);
-        ("cursor", J.Arr cursor_json);
-        ( "plan_cache",
-          J.Obj
-            [
-              ("size", J.Int stats.Engine.Plan_cache.size);
-              ("hits", J.Int stats.Engine.Plan_cache.hits);
-              ("misses", J.Int stats.Engine.Plan_cache.misses);
-              ("invalidations", J.Int stats.Engine.Plan_cache.invalidations);
-              ("evictions", J.Int stats.Engine.Plan_cache.evictions);
-            ] );
+        ("statement", J.Str src);
+        ("rows", J.Int (count (Engine.exec db src)));
+        ("first_row_p50_ms", J.Float (Xprof.Hist.p50 first_row));
+        ("full_p50_ms", J.Float (Xprof.Hist.p50 full));
       ]
   in
-  splice_section ~out ~key:"prepared" section;
-  Printf.printf "spliced \"prepared\" section into %s (%d queries, %d cursors)\n"
-    out
-    (List.length queries_json)
-    (List.length cursor_json)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel suite (--suite parallel): the "parallel" section of        *)
-(* BENCH_micro.json                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** p50 latency of scan-shaped work at parallelism 1/2/4: the
-    index-ineligible collection scan (Q2's wildcard predicate), the
-    multi-probe index AND (Q30's between-merge) and a bulk load + index
-    build. Splices the ["parallel"] section into [out]; the CI gate
-    reads [scan.ok] — the 4-domain scan p50 must not exceed the
-    sequential p50 (with a 5%% noise allowance, since on the sequential
-    fallback backend every level runs the identical code and the gate
-    compares two independent medians of the same work). *)
-let parallel_suite ~quick ~out () =
-  let n = if quick then 300 else 1000 in
-  let iters = if quick then 11 else 21 in
-  let levels = [ 1; 2; 4 ] in
-  Printf.printf
-    "parallel suite — scan-shaped work over %d orders at parallelism \
-     1/2/4 (backend: %s)%s\n"
-    n Xpar.backend
-    (if quick then " (--quick)" else "");
-  let db = corpus_db ~n () in
-  let scan_q = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@*>990]" in
-  let and_q =
-    "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') \
-     //order[lineitem[@price>100 and @price<200]] return $i"
+  let queries =
+    List.filter
+      (fun (id, _, _) ->
+        List.mem id [ "Q1"; "Q3"; "Q7"; "Q8"; "Q11"; "Q27"; "Q30" ])
+      corpus
+    |> List.map query
   in
-  let load_docs =
-    Workload.Orders_gen.orders
-      { Workload.Orders_gen.default with n_customers = 50 }
-      (if quick then 150 else 400)
-  in
-  let load_run () =
-    let fresh = Engine.create () in
-    ignore (Engine.exec fresh "CREATE TABLE orders (ordid INTEGER, orddoc XML)");
-    ddl fresh
+  let cursors =
+    List.map cursor
       [
-        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-         '//lineitem/@price' AS DOUBLE";
-      ];
-    Engine.set_parallelism fresh (Engine.parallelism db);
-    Engine.load_documents fresh ~table:"orders" ~column:"orddoc" load_docs
-  in
-  let measure name run =
-    List.map
-      (fun p ->
-        Engine.set_parallelism db p;
-        ignore (run ());
-        let ms = p50_ms ~iters ~batch:1 run in
-        Printf.printf "  %-10s parallelism %d: p50 %8.3f ms\n" name p ms;
-        flush stdout;
-        (p, ms))
-      levels
-  in
-  let scan = measure "scan" (fun () -> ignore (Engine.exec db scan_q)) in
-  let index_and =
-    measure "index-AND" (fun () -> ignore (Engine.exec db and_q))
-  in
-  let load = measure "load" load_run in
-  Engine.set_parallelism db 1;
-  let workload_json name lst ~gate =
-    let p1 = List.assoc 1 lst and p4 = List.assoc 4 lst in
-    let ok = (not gate) || p4 <= p1 *. 1.05 in
-    if gate then
-      Printf.printf "  %s gate: par4 %.3f ms vs par1 %.3f ms — %s\n" name p4
-        p1
-        (if ok then "ok" else "VIOLATION");
-    ( name,
-      J.Obj
-        [
-          ( "p50_ms",
-            J.Obj
-              (List.map (fun (p, ms) -> (string_of_int p, J.Float ms)) lst)
-          );
-          ("speedup_4x", J.Float (p1 /. p4));
-          ("ok", J.Bool ok);
-        ] )
-  in
-  let section =
-    J.Obj
-      [
-        ("backend", J.Str Xpar.backend);
-        ("n_docs", J.Int n);
-        ("iterations", J.Int iters);
-        workload_json "scan" scan ~gate:true;
-        workload_json "index_and" index_and ~gate:false;
-        workload_json "load" load ~gate:false;
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem";
+        "SELECT ordid FROM orders";
+        "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') return $d//order/lineitem";
       ]
   in
-  splice_section ~out ~key:"parallel" section;
-  Printf.printf "spliced \"parallel\" section into %s\n" out
+  let (c : Engine.Plan_cache.stats) = Engine.plan_cache_stats db in
+  J.Obj
+    [
+      ("queries", J.Arr queries);
+      ("cursor", J.Arr cursors);
+      ("plan_cache", ints [ ("hits", c.hits); ("misses", c.misses) ]);
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* Structural suite (--suite structural): the "structural" section of  *)
-(* BENCH_micro.json                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** A deterministic document of [fanout]^[depth] shape: nested [s]
-    sections bottoming out in [id] leaves, so [//id/ancestor::*] touches
-    every level on the way back up. *)
-let struct_doc ~depth ~fanout seed =
-  let b = Buffer.create 256 in
-  let rec go d k =
-    if d = 0 then Buffer.add_string b (Printf.sprintf "<id>%d</id>" (seed + k))
-    else begin
-      Buffer.add_string b (Printf.sprintf "<s i=\"%d\">" k);
-      for c = 0 to fanout - 1 do
-        go (d - 1) ((k * fanout) + c)
-      done;
-      Buffer.add_string b "</s>"
-    end
-  in
-  go depth 0;
-  Buffer.contents b
-
-(** Reverse-axis latency, structural join vs tree-walk, at three document
-    sizes. The query [//id/ancestor::*] is the staircase join's best
-    case: navigation re-walks a parent chain per context node where the
-    join's early-stop makes the whole axis amortized linear. Splices the
-    ["structural"] section into [out]; the CI gate reads [ok] — at the
-    largest tier the structural p50 must not exceed the tree-walk p50
-    (the ISSUE-level claim that the encoding pays for itself where
-    documents are deep). *)
-let structural_suite ~quick ~out () =
-  let iters = if quick then 7 else 15 in
-  let tiers =
-    (* (name, docs, depth, fanout): ~13 / ~120 / ~1100 elements per doc *)
-    if quick then
-      [ ("small", 40, 2, 3); ("medium", 40, 4, 3); ("large", 12, 6, 3) ]
-    else
-      [ ("small", 80, 2, 3); ("medium", 80, 4, 3); ("large", 30, 6, 3) ]
-  in
-  let q = "db2-fn:xmlcolumn('T.D')//id/ancestor::*" in
-  Printf.printf
-    "structural suite — %s, structural join vs tree-walk at three \
-     document sizes%s\n"
-    q
-    (if quick then " (--quick)" else "");
-  let results =
-    List.map
-      (fun (name, docs, depth, fanout) ->
-        let db = Engine.create () in
-        ignore (Engine.exec db "CREATE TABLE t (a integer, d XML)");
-        Engine.load_documents db ~table:"t" ~column:"d"
-          (List.init docs (fun i -> struct_doc ~depth ~fanout (i * 10_000)));
-        ignore (Engine.exec db "CREATE STRUCTURAL INDEX st ON t(d)");
-        let nodes =
-          Xmlindex.Structindex.node_count
-            (List.hd (Engine.struct_indexes db))
-          / docs
-        in
-        let run () = ignore (Engine.exec db q) in
-        Engine.set_use_indexes db false;
-        run ();
-        let nav = p50_ms ~iters ~batch:1 run in
-        Engine.set_use_indexes db true;
-        run ();
-        let st = p50_ms ~iters ~batch:1 run in
-        Printf.printf
-          "  %-6s %4d docs × %5d nodes: tree-walk p50 %8.3f ms  \
-           structural p50 %8.3f ms  speedup %.2fx\n"
-          name docs nodes nav st (nav /. st);
-        flush stdout;
-        (name, docs, nodes, nav, st))
-      tiers
-  in
-  let _, _, _, nav_l, st_l =
-    List.find (fun (n, _, _, _, _) -> n = "large") results
-  in
-  let ok = st_l <= nav_l in
-  Printf.printf
-    "  gate (large tier): structural %.3f ms vs tree-walk %.3f ms — %s\n"
-    st_l nav_l
-    (if ok then "ok" else "VIOLATION");
-  let section =
-    J.Obj
-      ([
-         ("query", J.Str q);
-         ("iterations", J.Int iters);
-       ]
-      @ List.map
-          (fun (name, docs, nodes, nav, st) ->
-            ( name,
-              J.Obj
-                [
-                  ("n_docs", J.Int docs);
-                  ("nodes_per_doc", J.Int nodes);
-                  ("treewalk_p50_ms", J.Float nav);
-                  ("structural_p50_ms", J.Float st);
-                  ("speedup", J.Float (nav /. st));
-                ] ))
-          results
-      @ [ ("ok", J.Bool ok) ])
-  in
-  splice_section ~out ~key:"structural" section;
-  Printf.printf "spliced \"structural\" section into %s\n" out
-
-(* ------------------------------------------------------------------ *)
-(* Durability suite (--suite durability): the "durability" section of  *)
-(* BENCH_micro.json                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let bench_dir_ctr = ref 0
-
-let bench_fresh_dir () =
-  incr bench_dir_ctr;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "xqdb-bench-%d-%d.xqdb" (Unix.getpid ()) !bench_dir_ctr)
-
-let rec bench_rm_rf path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> ()
-  | true ->
-      Array.iter
-        (fun n -> bench_rm_rf (Filename.concat path n))
-        (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-
-(** What durability costs and what recovery costs: bulk-load p50 for the
-    same corpus in-memory vs durable (WAL, no fsync) vs durable+fsync,
-    and crash-recovery time as a function of WAL length (reopening a
-    data directory whose whole history lives in the log). Splices the
-    ["durability"] section into [out]; the CI gate reads [recovery.ok] —
-    every reopen must replay the full committed history (recovered row
-    count equals statements executed). *)
-let durability_suite ~quick ~out () =
-  let n = if quick then 120 else 300 in
-  let iters = if quick then 5 else 9 in
-  Printf.printf
-    "durability suite — %d-order bulk load in-memory / durable / \
-     durable+fsync, recovery vs WAL length%s\n"
-    n
-    (if quick then " (--quick)" else "");
-  let docs =
-    Workload.Orders_gen.orders
-      { Workload.Orders_gen.default with n_customers = 50 }
-      n
-  in
-  let load_into db =
-    ignore (Engine.exec db "CREATE TABLE orders (ordid INTEGER, orddoc XML)");
-    ddl db
-      [
-        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN \
-         '//lineitem/@price' AS DOUBLE";
-      ];
-    Engine.load_documents db ~table:"orders" ~column:"orddoc" docs
-  in
-  let measure name run =
-    ignore (run ());
-    let ms = p50_ms ~iters ~batch:1 run in
-    Printf.printf "  load %-14s p50 %8.3f ms\n" name ms;
-    flush stdout;
-    ms
-  in
-  let mem = measure "in-memory" (fun () -> load_into (Engine.create ())) in
-  let durable_run ~sync () =
-    let dir = bench_fresh_dir () in
-    Fun.protect
-      ~finally:(fun () -> bench_rm_rf dir)
-      (fun () ->
-        let db = Engine.open_db ~sync ~data_dir:dir () in
-        load_into db;
-        Engine.close db)
-  in
-  let dur = measure "durable" (durable_run ~sync:false) in
-  let dur_fsync = measure "durable+fsync" (durable_run ~sync:true) in
-  (* recovery time vs WAL length: a database whose entire history is in
-     the log (no checkpoint), reopened cold *)
-  let recovery_point stmts =
-    let dir = bench_fresh_dir () in
-    Fun.protect
-      ~finally:(fun () -> bench_rm_rf dir)
-      (fun () ->
-        let db = Engine.open_db ~sync:false ~data_dir:dir () in
-        ignore (Engine.exec db "CREATE TABLE t (a integer, d XML)");
-        ignore
-          (Engine.exec db
-             "CREATE INDEX ip ON t(d) USING XMLPATTERN '//p' AS DOUBLE");
-        for i = 1 to stmts do
-          ignore
-            (Engine.exec db
-               (Printf.sprintf "INSERT INTO t VALUES (%d, '<a><p>%d</p></a>')"
-                  i i))
-        done;
-        Engine.close db;
-        let wal_bytes =
-          try (Unix.stat (Filename.concat dir "wal.0.log")).Unix.st_size
-          with Unix.Unix_error _ -> 0
-        in
-        (* median-of-3 cold reopen; committed records survive a reopen,
-           so the same history is replayed every time *)
-        let h = Xprof.Hist.create () in
-        let last = ref None in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          let db2 = Engine.open_db ~data_dir:dir () in
-          Xprof.Hist.add h ((Unix.gettimeofday () -. t0) *. 1000.);
-          last := Some db2;
-          Engine.close db2
-        done;
-        let db2 = Option.get !last in
-        let redo =
-          !(Xprof.Registry.counter (Engine.registry db2)
-              "recovery_redo_records")
-        in
-        let rows =
-          List.length (Engine.outcome_rows (Engine.exec db2 "SELECT a FROM t"))
-        in
-        let ok = rows = stmts in
-        let open_ms = Xprof.Hist.p50 h in
-        Printf.printf
-          "  recovery %5d statements: WAL %8d B, reopen p50 %8.3f ms, %d \
-           redo records — %s\n"
-          stmts wal_bytes open_ms redo
-          (if ok then "ok" else "ROWS LOST");
-        flush stdout;
-        ( stmts,
-          J.Obj
-            [
-              ("statements", J.Int stmts);
-              ("wal_bytes", J.Int wal_bytes);
-              ("open_p50_ms", J.Float open_ms);
-              ("redo_records", J.Int redo);
-              ("ok", J.Bool ok);
-            ],
-          ok ))
-  in
-  let points =
-    List.map recovery_point (if quick then [ 50; 200 ] else [ 100; 400; 1600 ])
-  in
-  let recovery_ok = List.for_all (fun (_, _, ok) -> ok) points in
-  Printf.printf "  recovery gate: %s\n"
-    (if recovery_ok then "ok" else "VIOLATION");
-  let section =
-    J.Obj
-      [
-        ("n_docs", J.Int n);
-        ("iterations", J.Int iters);
-        ( "load_p50_ms",
-          J.Obj
-            [
-              ("memory", J.Float mem);
-              ("durable", J.Float dur);
-              ("durable_fsync", J.Float dur_fsync);
-            ] );
-        ("overhead_durable", J.Float (dur /. mem));
-        ("overhead_fsync", J.Float (dur_fsync /. mem));
-        ( "recovery",
-          J.Obj
-            [
-              ("points", J.Arr (List.map (fun (_, j, _) -> j) points));
-              ("ok", J.Bool recovery_ok);
-            ] );
-      ]
-  in
-  splice_section ~out ~key:"durability" section;
-  Printf.printf "spliced \"durability\" section into %s\n" out
-
-(* ------------------------------------------------------------------ *)
-(* Server suite (--suite server): the "server" section of              *)
-(* BENCH_micro.json — sustained QPS and tail latency through the Xnet  *)
-(* wire protocol at 1/4/16 concurrent client connections, plus the     *)
-(* cold-vs-warm plan-cache contrast over the wire. The server runs     *)
-(* in-process on an ephemeral port, so the numbers include the full    *)
-(* protocol round trip (encode, loopback TCP, decode, engine, reply)   *)
-(* but no scheduler noise from a second process.                       *)
-(* ------------------------------------------------------------------ *)
-
-(** One timed load level: [clients] connections each firing [query]
-    back-to-back for [duration] seconds. Returns (qps, latency hist). *)
-let server_load ~port ~clients ~duration ~query () =
-  let lats = Array.make clients [] in
-  let t_start = Unix.gettimeofday () in
-  let deadline = t_start +. duration in
-  let body i () =
-    let c = Xnet.Client.connect ~host:"127.0.0.1" ~port () in
-    Fun.protect
-      ~finally:(fun () -> Xnet.Client.close c)
-      (fun () ->
-        let acc = ref [] in
-        while Unix.gettimeofday () < deadline do
-          let t0 = Unix.gettimeofday () in
-          ignore (Xnet.Client.exec c query);
-          acc := ((Unix.gettimeofday () -. t0) *. 1000.) :: !acc
-        done;
-        lats.(i) <- !acc)
-  in
-  let threads = List.init clients (fun i -> Thread.create (body i) ()) in
-  List.iter Thread.join threads;
-  let elapsed = Unix.gettimeofday () -. t_start in
-  let h = Xprof.Hist.create () in
-  let total = ref 0 in
-  Array.iter
-    (fun l ->
-      total := !total + List.length l;
-      List.iter (Xprof.Hist.add h) l)
-    lats;
-  (float_of_int !total /. elapsed, h)
-
-let server_suite ~quick ~out () =
-  let n = if quick then 150 else 500 in
-  let duration = if quick then 0.4 else 2.0 in
-  let cold_iters = if quick then 5 else 15 in
-  Printf.printf "== server suite: %d orders, %.1fs per load level%s\n%!" n
-    duration
-    (if quick then " (--quick)" else "");
-  let db = corpus_db ~n () in
+(** Sustained QPS and tail latency through the Xnet wire protocol at
+    1/4/16 concurrent client connections, and the cold-vs-warm plan-cache
+    contrast over the wire. The server runs in-process on an ephemeral
+    port: the numbers include the full round trip (encode, loopback TCP,
+    decode, engine, reply) but no second process. *)
+let server () =
+  let db = corpus_db ~n:150 in
   let srv =
     Xnet.Server.start ~engine:db
       { Xnet.Server.default_config with port = 0; max_sessions = 64 }
   in
   let port = Xnet.Server.port srv in
-  (* an index-eligible paper-shaped query: representative of the
-     steady-state request mix the paper argues becomes servable *)
-  let query =
-    "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > 990]"
-  in
-  (* Cold vs shared-plan-cache warm, through the wire, single client.
-     The reset happens between requests with no statement in flight, so
-     it cannot race the session thread. *)
+  (* an index-eligible paper query: the steady-state request mix the
+     paper argues becomes servable *)
+  let query = paper "Q1" in
   let conn = Xnet.Client.connect ~host:"127.0.0.1" ~port () in
-  let cold_h = Xprof.Hist.create () and warm_h = Xprof.Hist.create () in
-  for _ = 1 to cold_iters do
-    Engine.reset_plan_cache db;
-    let t0 = Unix.gettimeofday () in
-    ignore (Xnet.Client.exec conn query);
-    Xprof.Hist.add cold_h ((Unix.gettimeofday () -. t0) *. 1000.)
-  done;
-  ignore (Xnet.Client.exec conn query) (* ensure the cache is hot *);
-  for _ = 1 to cold_iters do
-    let t0 = Unix.gettimeofday () in
-    ignore (Xnet.Client.exec conn query);
-    Xprof.Hist.add warm_h ((Unix.gettimeofday () -. t0) *. 1000.)
-  done;
+  (* the reset happens between requests with no statement in flight, so
+     it cannot race the session thread *)
+  let cold, warm =
+    sample2 ~iters:5
+      (fun () ->
+        Engine.reset_plan_cache db;
+        ignore (Xnet.Client.exec conn query))
+      (fun () -> ignore (Xnet.Client.exec conn query))
+  in
   Xnet.Client.close conn;
-  let cold_p50 = Xprof.Hist.p50 cold_h and warm_p50 = Xprof.Hist.p50 warm_h in
-  Printf.printf
-    "  cold (plan-cache reset) p50 %.3f ms | warm (shared cache) p50 %.3f ms\n%!"
-    cold_p50 warm_p50;
-  let hits_before =
-    (Engine.plan_cache_stats db).Engine.Plan_cache.hits
-  in
-  let levels =
-    List.map
-      (fun clients ->
-        let qps, h = server_load ~port ~clients ~duration ~query () in
-        Printf.printf
-          "  %2d clients: %7.0f qps | p50 %.3f ms | p95 %.3f ms | p99 %.3f \
-           ms\n%!"
-          clients qps (Xprof.Hist.p50 h) (Xprof.Hist.p95 h) (Xprof.Hist.p99 h);
-        ( string_of_int clients,
-          J.Obj
-            [
-              ("qps", J.Float qps);
-              ("p50_ms", J.Float (Xprof.Hist.p50 h));
-              ("p95_ms", J.Float (Xprof.Hist.p95 h));
-              ("p99_ms", J.Float (Xprof.Hist.p99 h));
-              ("requests", J.Int (Xprof.Hist.count h));
-            ] ))
-      [ 1; 4; 16 ]
-  in
-  let hits_after = (Engine.plan_cache_stats db).Engine.Plan_cache.hits in
-  Xnet.Server.stop srv;
-  let section =
-    J.Obj
-      [
-        ("backend", J.Str Xpar.backend);
-        ("query", J.Str query);
-        ("quick", J.Bool quick);
-        ("cold_p50_ms", J.Float cold_p50);
-        ("warm_p50_ms", J.Float warm_p50);
-        ("clients", J.Obj levels);
-        ( "plan_cache",
-          J.Obj
-            [
-              ("hits", J.Int hits_after);
-              (* every concurrent client's compile after the first is a
-                 hit on the cache another session warmed *)
-              ("shared_ok", J.Bool (hits_after > hits_before));
-            ] );
-        ("ok", J.Bool (warm_p50 <= cold_p50));
-      ]
-  in
-  splice_section ~out ~key:"server" section;
-  Printf.printf "spliced \"server\" section into %s\n" out
-
-(* ------------------------------------------------------------------ *)
-(* Txn suite (--suite txn): the "txn" section of BENCH_micro.json —    *)
-(* the PR's headline claim, measured: reader tail latency while a      *)
-(* bulk-loading read-write transaction runs must stay within 2x of an  *)
-(* idle engine, because reads run on pinned MVCC snapshots and never   *)
-(* wait for the writer. Also reports writer throughput and the         *)
-(* begin/commit round-trip cost on an empty transaction.               *)
-(* ------------------------------------------------------------------ *)
-
-let txn_suite ~quick ~out () =
-  let n = if quick then 150 else 500 in
-  let duration = if quick then 0.5 else 2.0 in
-  Printf.printf
-    "txn suite — reader p95 idle vs during a bulk-loading transaction, %d \
-     orders, %.1fs per phase%s\n%!"
-    n duration
-    (if quick then " (--quick)" else "");
-  let db = corpus_db ~n () in
-  Engine.enable_concurrent db;
-  (* the reader probes a table the load never touches: the measurement is
-     whether readers queue behind the writer, so the reader's own data
-     size must not grow under it mid-phase *)
-  let query = "db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer[id = 7]" in
-  ignore (Engine.exec db query) (* warm the plan cache *);
-  let read_for secs =
+  let hits () = (Engine.plan_cache_stats db).Engine.Plan_cache.hits in
+  let hits_before = hits () in
+  (* [clients] connections each firing the query back to back for 0.4 s *)
+  let level clients =
+    let lats = Array.make clients (Xprof.Hist.create ()) in
+    let t0 = Unix.gettimeofday () in
+    let body i =
+      let c = Xnet.Client.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Xnet.Client.close c)
+        (fun () ->
+          lats.(i) <-
+            for_secs 0.4 (fun () -> ignore (Xnet.Client.exec c query)))
+    in
+    List.iter Thread.join (List.init clients (Thread.create body));
+    let elapsed = Unix.gettimeofday () -. t0 in
     let h = Xprof.Hist.create () in
-    let deadline = Unix.gettimeofday () +. secs in
-    while Unix.gettimeofday () < deadline do
-      let t0 = Unix.gettimeofday () in
-      ignore (Engine.exec db query);
-      Xprof.Hist.add h ((Unix.gettimeofday () -. t0) *. 1000.)
-    done;
-    h
+    Array.iter
+      (fun l -> Array.iter (Xprof.Hist.add h) (Xprof.Hist.sorted l))
+      lats;
+    ( string_of_int clients,
+      J.Obj
+        [
+          ("qps", J.Float (float_of_int (Xprof.Hist.count h) /. elapsed));
+          ("latency_ms", Xprof.Hist.summary_json h);
+        ] )
   in
-  let idle = read_for duration in
-  (* writer thread: back-to-back explicit transactions, 20 inserts each.
-     One constant statement text, so the load compiles once and hits the
-     shared plan cache after that — a flood of unique statement strings
-     would measure cache-eviction thrash, not snapshot isolation *)
+  let levels = List.map level [ 1; 4; 16 ] in
+  Xnet.Server.stop srv;
+  J.Obj
+    [
+      ("backend", J.Str Xpar.backend);
+      ("cold_p50_ms", J.Float (Xprof.Hist.p50 cold));
+      ("warm_p50_ms", J.Float (Xprof.Hist.p50 warm));
+      ("clients", J.Obj levels);
+      (* every concurrent client's compile after the first is a hit on
+         the cache another session warmed *)
+      ( "plan_cache",
+        ints [ ("hits_before_load", hits_before); ("hits", hits ()) ] );
+    ]
+
+(** Reader tail latency while a bulk-loading read-write transaction
+    runs, against an idle engine: reads run on pinned MVCC snapshots and
+    must not queue behind the writer. Also reports writer throughput and
+    the begin/commit round trip of an empty transaction. *)
+let txn () =
+  let db = corpus_db ~n:150 in
+  Engine.enable_concurrent db;
+  (* the reader probes a table the load never touches: the measurement
+     is whether readers queue behind the writer, so the reader's own data
+     must not grow under it mid-phase *)
+  let query = "db2-fn:xmlcolumn('CUSTOMER.CDOC')/customer[id = 7]" in
+  ignore (Engine.exec db query);
+  let read () = for_secs 0.5 (fun () -> ignore (Engine.exec db query)) in
+  let idle = read () in
+  (* back-to-back explicit transactions of 20 inserts each. One constant
+     statement text, so the load compiles once and then hits the shared
+     plan cache: a flood of unique statements would measure cache
+     eviction, not snapshot isolation *)
   let insert =
     "INSERT INTO orders VALUES (1000000, '<order id=\"1000000\"><lineitem \
      price=\"5.0\"><product><id>BULK</id></product></lineitem></order>')"
   in
   let stop = Atomic.make false in
-  let commits = ref 0 and rows = ref 0 in
+  let commits = ref 0 in
   let writer =
     Thread.create
       (fun () ->
@@ -1762,160 +782,369 @@ let txn_suite ~quick ~out () =
             ignore (Engine.exec ~txn:tx db insert)
           done;
           Engine.Txn.commit tx;
-          incr commits;
-          rows := !rows + 20
+          incr commits
         done)
       ()
   in
-  let loaded = read_for duration in
+  let loaded = read () in
   Atomic.set stop true;
   Thread.join writer;
-  let idle_p95 = Xprof.Hist.p95 idle
-  and loaded_p95 = Xprof.Hist.p95 loaded in
-  (* the committed rows are visible once the load stops *)
-  let final =
-    List.length
-      (Engine.outcome_rows
-         (Engine.exec db "SELECT ordid FROM orders WHERE ordid >= 1000000"))
+  let visible =
+    Engine.exec db "SELECT ordid FROM orders WHERE ordid >= 1000000"
   in
-  let visibility_ok = final = !rows in
-  (* headline gate: snapshot readers must not queue behind the writer.
-     2x plus a small absolute floor so sub-millisecond baselines do not
-     flap on scheduler noise. *)
-  let reader_ok = loaded_p95 <= (2.0 *. idle_p95) +. 0.5 in
-  (* begin/commit round trip with nothing in the transaction *)
-  let empty_txn_ms =
-    p50_ms ~iters:(if quick then 5 else 9) ~batch:50 (fun () ->
-        Engine.Txn.commit (Engine.Txn.begin_ db))
+  let empty_txn () = Engine.Txn.commit (Engine.Txn.begin_ db) in
+  J.Obj
+    [
+      ( "reader_ms",
+        J.Obj
+          [
+            ("idle", Xprof.Hist.summary_json idle);
+            ("during_load", Xprof.Hist.summary_json loaded);
+          ] );
+      ( "writer",
+        J.Obj
+          [
+            ("commits", J.Int !commits);
+            ("rows", J.Int (20 * !commits));
+            ("rows_per_s", J.Float (float_of_int (20 * !commits) /. 0.5));
+          ] );
+      ("visible_rows", J.Int (count visible));
+      ("empty_txn_p50_ms", J.Float (p50_ms ~iters:5 ~batch:50 empty_txn));
+    ]
+
+(** A deterministic document of 3^[depth] shape: nested [s] sections
+    bottoming out in [id] leaves, so [//id/ancestor::*] touches every
+    level on the way back up. *)
+let rec struct_doc ~depth seed k =
+  if depth = 0 then Printf.sprintf "<id>%d</id>" (seed + k)
+  else
+    Printf.sprintf "<s i=\"%d\">%s</s>" k
+      (String.concat ""
+         (List.init 3 (fun c ->
+              struct_doc ~depth:(depth - 1) seed ((k * 3) + c))))
+
+(** Reverse-axis latency, structural join vs tree-walk, at three
+    document sizes (~13 / ~120 / ~1100 elements per document). The query
+    [//id/ancestor::*] is the staircase join's best case: navigation
+    re-walks a parent chain per context node where the join's early stop
+    makes the whole axis amortized linear. *)
+let structural () =
+  let q = "db2-fn:xmlcolumn('T.D')//id/ancestor::*" in
+  let tier (name, docs, depth) =
+    let db = Engine.create () in
+    ignore (Engine.exec db "CREATE TABLE t (a integer, d XML)");
+    Engine.load_documents db ~table:"t" ~column:"d"
+      (List.init docs (fun i -> struct_doc ~depth (i * 10_000) 0));
+    ignore (Engine.exec db "CREATE STRUCTURAL INDEX st ON t(d)");
+    let run () = ignore (Engine.exec db q) in
+    let p50_with indexes =
+      Engine.set_use_indexes db indexes;
+      run ();
+      p50_ms ~iters:7 run
+    in
+    let nav = p50_with false in
+    let st = p50_with true in
+    let st_index = List.hd (Engine.struct_indexes db) in
+    ( name,
+      J.Obj
+        [
+          ("n_docs", J.Int docs);
+          ( "nodes_per_doc",
+            J.Int (Xmlindex.Structindex.node_count st_index / docs) );
+          ("treewalk_p50_ms", J.Float nav);
+          ("structural_p50_ms", J.Float st);
+        ] )
   in
-  Printf.printf
-    "  reader p95 idle %8.3f ms | during load %8.3f ms (%.2fx) — %s\n"
-    idle_p95 loaded_p95
-    (loaded_p95 /. Float.max idle_p95 1e-9)
-    (if reader_ok then "ok" else "VIOLATION");
-  Printf.printf
-    "  writer: %d commits, %d rows (%d visible after drain — %s)\n" !commits
-    !rows final
-    (if visibility_ok then "ok" else "LOST");
-  Printf.printf "  empty begin+commit p50 %8.3f ms\n%!" empty_txn_ms;
-  let section =
-    J.Obj
+  J.Obj
+    (List.map tier [ ("small", 40, 2); ("medium", 40, 4); ("large", 12, 6) ])
+
+(** p50 latency of scan-shaped work at parallelism 1/2/4: the
+    index-ineligible collection scan (Q2's wildcard predicate), the
+    multi-probe index AND (Q30's between merge) and a bulk load + index
+    build. *)
+let parallel () =
+  let db = corpus_db ~n:300 in
+  let docs = load_docs 150 in
+  let load () =
+    let fresh = Engine.create () in
+    ddl fresh [ "CREATE TABLE orders (ordid INTEGER, orddoc XML)"; li_price ];
+    Engine.set_parallelism fresh (Engine.parallelism db);
+    Engine.load_documents fresh ~table:"orders" ~column:"orddoc" docs
+  in
+  let exec src () = ignore (Engine.exec db src) in
+  let at_level run p =
+    Engine.set_parallelism db p;
+    run ();
+    (string_of_int p, p50_ms ~iters:11 run)
+  in
+  let workload (name, run) =
+    (name, J.Obj [ ("p50_ms", floats (List.map (at_level run) [ 1; 2; 4 ])) ])
+  in
+  let workloads =
+    List.map workload
       [
-        ("backend", J.Str Xpar.backend);
-        ("quick", J.Bool quick);
-        ("query", J.Str query);
-        ( "reader",
-          J.Obj
-            [
-              ("idle_p95_ms", J.Float idle_p95);
-              ("during_load_p95_ms", J.Float loaded_p95);
-              ("idle_requests", J.Int (Xprof.Hist.count idle));
-              ("during_load_requests", J.Int (Xprof.Hist.count loaded));
-              ("ok", J.Bool reader_ok);
-            ] );
-        ( "writer",
-          J.Obj
-            [
-              ("commits", J.Int !commits);
-              ("rows", J.Int !rows);
-              ("rows_per_s", J.Float (float_of_int !rows /. duration));
-            ] );
-        ("empty_txn_p50_ms", J.Float empty_txn_ms);
-        ("visibility_ok", J.Bool visibility_ok);
-        ("ok", J.Bool (reader_ok && visibility_ok));
+        ("scan", exec (paper "Q2"));
+        ("index_and", exec (paper "Q30"));
+        ("load", load);
       ]
   in
-  splice_section ~out ~key:"txn" section;
-  Printf.printf "spliced \"txn\" section into %s\n" out
+  Engine.set_parallelism db 1;
+  J.Obj (("backend", J.Str Xpar.backend) :: workloads)
 
-(* ------------------------------------------------------------------ *)
+(** Run [f] on a fresh data directory, removed afterwards. *)
+let in_fresh_dir f =
+  let dir = Filename.temp_file "xqdb-bench" ".xqdb" in
+  Sys.remove dir;
+  let rm () =
+    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+    Unix.rmdir dir
+  in
+  Fun.protect ~finally:rm (fun () -> f dir)
+
+(** What durability costs and what recovery costs: bulk-load p50 of the
+    same 120 orders in-memory vs durable (WAL, no fsync) vs
+    durable+fsync, and cold-reopen time as a function of WAL length (a
+    data directory whose whole history lives in the log). *)
+let durability () =
+  let docs = load_docs 120 in
+  let load_into db =
+    ddl db [ "CREATE TABLE orders (ordid INTEGER, orddoc XML)"; li_price ];
+    Engine.load_documents db ~table:"orders" ~column:"orddoc" docs
+  in
+  let durable ~sync () =
+    in_fresh_dir (fun dir ->
+        let db = Engine.open_db ~sync ~data_dir:dir () in
+        load_into db;
+        Engine.close db)
+  in
+  let loads =
+    List.map
+      (fun (name, run) ->
+        run ();
+        (name, p50_ms ~iters:5 run))
+      [
+        ("memory", fun () -> load_into (Engine.create ()));
+        ("durable", durable ~sync:false);
+        ("durable_fsync", durable ~sync:true);
+      ]
+  in
+  let recovery_point stmts =
+    in_fresh_dir (fun dir ->
+        let db = Engine.open_db ~sync:false ~data_dir:dir () in
+        ddl db
+          [
+            "CREATE TABLE t (a integer, d XML)";
+            "CREATE INDEX ip ON t(d) USING XMLPATTERN '//p' AS DOUBLE";
+          ];
+        ddl db
+          (List.init stmts (fun i ->
+               Printf.sprintf "INSERT INTO t VALUES (%d, '<a><p>%d</p></a>')"
+                 (i + 1) (i + 1)));
+        Engine.close db;
+        let wal_bytes = (Unix.stat (Filename.concat dir "wal.0.log")).st_size in
+        (* median-of-3 cold reopen: committed records survive a reopen,
+           so each one replays the same history *)
+        let opened = ref [] in
+        let open_ms =
+          p50_ms ~iters:3 (fun () ->
+              opened := Engine.open_db ~data_dir:dir () :: !opened)
+        in
+        let db2 = List.hd !opened in
+        let redo =
+          Xprof.Registry.counter (Engine.registry db2) "recovery_redo_records"
+        in
+        let rows = count (Engine.exec db2 "SELECT a FROM t") in
+        List.iter Engine.close !opened;
+        J.Obj
+          [
+            ("statements", J.Int stmts);
+            ("rows", J.Int rows);
+            ("wal_bytes", J.Int wal_bytes);
+            ("open_p50_ms", J.Float open_ms);
+            ("redo_records", J.Int !redo);
+          ])
+  in
+  J.Obj
+    [
+      ("load_p50_ms", floats loads);
+      ("recovery_points", J.Arr (List.map recovery_point [ 50; 200 ]));
+    ]
+
+(* Reading a section back: the assertions judge the JSON that is
+   written, addressing it by dotted paths as the CI jq filters once did. *)
+
+let rec get (j : J.t) path =
+  match (j, path) with
+  | _, [] -> j
+  | J.Obj kvs, k :: rest when List.mem_assoc k kvs ->
+      get (List.assoc k kvs) rest
+  | _ -> J.Null
+
+let at j path = get j (String.split_on_char '.' path)
+
+let num j path =
+  match at j path with
+  | J.Int i -> float_of_int i
+  | J.Float f -> f
+  | _ -> Float.nan
+
+let items j path = match at j path with J.Arr l -> l | _ -> []
+let has paths j = List.for_all (fun p -> at j p <> J.Null) paths
+let all path ok j = List.for_all ok (items j path)
+let at_least n path ok j = List.length (List.filter ok (items j path)) >= n
+let any _ = true
+let cmp op a b j = op (num j a) (num j b)
+let positive path j = num j path > 0.
+let domains j = at j "backend" = J.Str "domains"
+
+type gate = {
+  name : string;
+  measure : unit -> J.t;
+  asserts : (string * (J.t -> bool)) list;
+}
+
+let gate name measure asserts = { name; measure; asserts }
+
+let gates : gate list =
+  [
+    gate "micro" micro
+      [
+        ("at least 15 queries", at_least 15 "queries" any);
+        ( "every query: p50 >= 0 and p95 >= p50",
+          all "queries" (fun q ->
+              num q "latency_ms.p50" >= 0.
+              && cmp ( >= ) "latency_ms.p95" "latency_ms.p50" q) );
+        ( "every query counts index_probes and docs_scanned",
+          all "queries"
+            (has [ "counters.index_probes"; "counters.docs_scanned" ]) );
+        ("at least 5 pairs", at_least 5 "pairs" any);
+        ( "pairs ok: eligible index_probes < ineligible docs_scanned",
+          all "pairs" (cmp ( < ) "index_probes" "docs_scanned") );
+        ( "governor overhead has p50 and p95",
+          has [ "governor_overhead_pct.p50"; "governor_overhead_pct.p95" ] );
+      ];
+    gate "prepared" prepared
+      [
+        ("at least 5 queries", at_least 5 "queries" any);
+        ( "every query: prepared p50 < cold p50 and warm p50 < cold p50",
+          all "queries" (fun q ->
+              cmp ( < ) "prepared_p50_ms" "cold_p50_ms" q
+              && cmp ( < ) "warm_p50_ms" "cold_p50_ms" q) );
+        ( "at least 2 cursors: first-row p50 < full p50",
+          at_least 2 "cursor" (cmp ( < ) "first_row_p50_ms" "full_p50_ms") );
+        ("plan-cache hits > 0", positive "plan_cache.hits");
+      ];
+    gate "server" server
+      [
+        ("backend is domains", domains);
+        ("clients 1, 4 and 16", has [ "clients.1"; "clients.4"; "clients.16" ]);
+        ( "every level: qps > 0, requests > 0, p50 >= 0, p99 >= p95 >= p50",
+          fun j ->
+            List.for_all
+              (fun n ->
+                let c = at j ("clients." ^ n) in
+                positive "qps" c && positive "latency_ms.n" c
+                && num c "latency_ms.p50" >= 0.
+                && cmp ( >= ) "latency_ms.p95" "latency_ms.p50" c
+                && cmp ( >= ) "latency_ms.p99" "latency_ms.p95" c)
+              [ "1"; "4"; "16" ] );
+        ("warm p50 <= cold p50", cmp ( <= ) "warm_p50_ms" "cold_p50_ms");
+        ( "shared_ok: plan-cache hits rose during the load levels",
+          cmp ( > ) "plan_cache.hits" "plan_cache.hits_before_load" );
+      ];
+    gate "txn" txn
+      [
+        ( "reader during-load p95 <= 2 x idle p95 + 0.5 ms",
+          cmp
+            (fun load idle -> load <= (2. *. idle) +. 0.5)
+            "reader_ms.during_load.p95" "reader_ms.idle.p95" );
+        ("idle requests > 0", positive "reader_ms.idle.n");
+        ("during-load requests > 0", positive "reader_ms.during_load.n");
+        ("writer commits > 0", positive "writer.commits");
+        ( "visibility: every committed row is visible",
+          cmp ( = ) "visible_rows" "writer.rows" );
+      ];
+    gate "structural" structural
+      [
+        ( "every tier: tree-walk p50 > 0 and structural p50 > 0",
+          fun j ->
+            List.for_all
+              (fun t ->
+                positive (t ^ ".treewalk_p50_ms") j
+                && positive (t ^ ".structural_p50_ms") j)
+              [ "small"; "medium"; "large" ] );
+        ( "large tier: structural p50 <= tree-walk p50",
+          cmp ( <= ) "large.structural_p50_ms" "large.treewalk_p50_ms" );
+      ];
+    gate "parallel" parallel
+      [
+        ("backend is domains", domains);
+        ( "scan, index_and and load have p50 at parallelism 1, 2 and 4",
+          fun j ->
+            List.for_all
+              (fun w ->
+                has [ w ^ ".p50_ms.1"; w ^ ".p50_ms.2"; w ^ ".p50_ms.4" ] j)
+              [ "scan"; "index_and"; "load" ] );
+        ( "scan: par4 p50 <= 1.05 x par1 p50",
+          cmp (fun p4 p1 -> p4 <= p1 *. 1.05) "scan.p50_ms.4" "scan.p50_ms.1"
+        );
+      ];
+    gate "durability" durability
+      [
+        ( "load p50 for memory, durable and durable_fsync",
+          has
+            (List.map (( ^ ) "load_p50_ms.")
+               [ "memory"; "durable"; "durable_fsync" ]) );
+        ("at least 2 recovery points", at_least 2 "recovery_points" any);
+        ( "every recovery point replays its full history",
+          all "recovery_points" (cmp ( = ) "rows" "statements") );
+      ];
+  ]
+
+(** Run the named gates, one assertion per output line; a gate with a
+    failing assertion also prints its whole section. All sections go to
+    [out] in one write; the exit code is 1 if any assertion failed. *)
+let run_gates ~out names =
+  let find name =
+    match List.find_opt (fun g -> g.name = name) gates with
+    | Some g -> g
+    | None ->
+        Printf.eprintf "unknown gate %S (available: %s)\n" name
+          (String.concat ", " (List.map (fun g -> g.name) gates));
+        exit 2
+  in
+  let run g =
+    Printf.printf "== %s (backend: %s)\n%!" g.name Xpar.backend;
+    let section = g.measure () in
+    let failed =
+      List.filter
+        (fun (label, check) ->
+          let ok = check section in
+          Printf.printf "%s %s: %s\n%!" (if ok then "ok  " else "FAIL") g.name
+            label;
+          not ok)
+        g.asserts
+    in
+    if failed <> [] then print_endline (J.to_string section);
+    ((g.name, section), failed = [])
+  in
+  let results = List.map run (List.map find names) in
+  Out_channel.with_open_text out (fun oc ->
+      output_string oc (J.to_string (J.Obj (List.map fst results)));
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" out;
+  exit (if List.for_all snd results then 0 else 1)
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  let rec arg_value key = function
-    | k :: v :: _ when k = key -> Some v
-    | _ :: rest -> arg_value key rest
-    | [] -> None
+  let rec parse out names = function
+    | "--out" :: file :: rest -> parse file names rest
+    | name :: rest -> parse out (name :: names) rest
+    | [] -> (out, List.rev names)
   in
-  if List.mem "--governor-overhead" argv then (
-    governor_overhead ();
-    exit 0);
-  (match arg_value "--suite" argv with
-  | Some "micro" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      micro_suite ~quick ~out ();
-      exit 0
-  | Some "prepared" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      prepared_suite ~quick ~out ();
-      exit 0
-  | Some "parallel" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      parallel_suite ~quick ~out ();
-      exit 0
-  | Some "durability" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      durability_suite ~quick ~out ();
-      exit 0
-  | Some "server" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      server_suite ~quick ~out ();
-      exit 0
-  | Some "txn" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      txn_suite ~quick ~out ();
-      exit 0
-  | Some "structural" ->
-      let quick = List.mem "--quick" argv in
-      let out =
-        Option.value (arg_value "--out" argv) ~default:"BENCH_micro.json"
-      in
-      structural_suite ~quick ~out ();
-      exit 0
-  | Some other ->
-      Printf.eprintf
-        "unknown suite %S (available: micro, parallel, prepared, durability, \
-         server, txn, structural)\n"
-        other;
-      exit 2
-  | None -> ());
-  Printf.printf
-    "xqdb benchmark harness — reproducing the performance shape of \"On \
-     the Path to Efficient XML Queries\" (VLDB 2006)\n";
-  Printf.printf "collection size: %d documents (unless noted)\n" n_docs;
-  e1 ();
-  e2 ();
-  e3 ();
-  e4 ();
-  e5 ();
-  e6 ();
-  e7 ();
-  e8 ();
-  e9 ();
-  e10 ();
-  e11 ();
-  e12 ();
-  e13 ();
-  e14 ();
-  e15 ();
-  Printf.printf
-    "\nAll experiments complete. See EXPERIMENTS.md for the \
-     paper-vs-measured record.\n"
+  match parse "BENCH_micro.json" [] (List.tl (Array.to_list Sys.argv)) with
+  | out, (_ :: _ as names) -> run_gates ~out names
+  | _, [] ->
+      Printf.printf
+        "xqdb benchmark harness — reproducing the performance shape of \"On \
+         the Path to Efficient XML Queries\" (VLDB 2006)\n";
+      List.iter run_experiment experiments

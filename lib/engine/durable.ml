@@ -168,7 +168,10 @@ let open_db ?(sync = true) ?(count = no_count) ~data_dir ~mk ~apply () =
     let ctx = mk db xindexes rindexes sdefs in
     let wpath = wal_path data_dir gen in
     let res = Wal.replay ~apply:(apply ctx) wpath in
+    let fresh = not (Sys.file_exists wpath) in
     let wal = Wal.open_log ~sync ~count ~keep:res.Wal.committed_end wpath in
+    (* a log this call created needs its directory entry made durable *)
+    if fresh then fsync_dir data_dir;
     let t =
       {
         data_dir;
@@ -253,9 +256,15 @@ let checkpoint t ~db ~xindexes ~rindexes ~sindexes =
   Wal.Snapshot.save ~path:(snapshot_path t.data_dir next) db
     xindexes rindexes sindexes;
   Faultinject.hit "checkpoint.end";
-  (* the rename is the commit point of the checkpoint *)
-  write_manifest t.data_dir next;
+  (* create the next log before publishing, so write_manifest's directory
+     fsync also covers its entry; a crash in between leaves an orphan log
+     that the next open sweeps *)
   let nw = Wal.open_log ~sync:t.sync ~count:t.count (wal_path t.data_dir next) in
+  (* the rename is the commit point of the checkpoint *)
+  (try write_manifest t.data_dir next
+   with e ->
+     Wal.close nw;
+     raise e);
   Wal.close t.wal;
   let old = t.gen in
   t.wal <- nw;

@@ -943,10 +943,16 @@ let select_rows ctx (s : select) ~parallelism (f : ctx -> frame list -> 'a) :
   envs ctx [] s.from
 
 (** Strict SELECT: drain the producer, then the GROUP BY and ORDER BY
-    barriers, then LIMIT. *)
+    barriers, then LIMIT. Without a barrier, LIMIT n takes n rows from the
+    sequential producer (as {!exec_seq} does), so rows past the limit are
+    never evaluated and a failure past the limit cannot surface at any
+    parallelism. *)
 let rec exec_select ctx (s : select) : result =
   let drain f =
-    List.of_seq (select_rows ctx s ~parallelism:ctx.parallelism f)
+    match s.limit with
+    | Some n when (not (has_aggregates s)) && s.order_by = [] ->
+        List.of_seq (Seq.take n (select_rows ctx s ~parallelism:1 f))
+    | _ -> List.of_seq (select_rows ctx s ~parallelism:ctx.parallelism f)
   in
   (* Grouped projection: partition captured environments by GROUP BY key
      values, then evaluate the select list once per group (aggregates over

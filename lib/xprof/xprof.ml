@@ -4,8 +4,8 @@
 
     - a {b metrics registry} of named monotonic counters, gauges and
       histograms (p50/p95/p99), for process-lifetime aggregates such as
-      per-statement latency distributions — the substrate under
-      [bench --suite micro]'s [BENCH_micro.json];
+      per-statement latency distributions — the substrate under the
+      [micro] bench gate's [BENCH_micro.json];
     - a {b per-statement execution profile} ({!t}): counter set (XQuery
       eval steps, nodes materialized, index probes, index entries
       scanned, documents scanned, B+Tree page reads/splits, SQL rows

@@ -438,7 +438,29 @@ let q1_30 =
         check Alcotest.bool "IXAND" true
           (List.exists
              (fun n -> Helpers.contains_sub ~affix:"IXAND" n)
-             plan.Planner.notes));
+             plan.Planner.notes);
+        (* on the same database, Query 30's merged between scans one
+           range while the element between ANDs two *)
+        let entries src =
+          Engine.set_profiling db true;
+          ignore (Engine.exec db src);
+          let c = Xprof.counters (Engine.profile db) in
+          Engine.set_profiling db false;
+          List.assoc "index_entries_scanned" c
+        in
+        let merged =
+          entries
+            "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC') \
+             //order[lineitem[@price>100 and @price<200]] return $i"
+        in
+        let ixand =
+          entries
+            "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/price > 100 \
+             and lineitem/price < 200]"
+        in
+        check Alcotest.bool
+          (Printf.sprintf "merged scans %d entries < IXAND %d" merged ixand)
+          true (merged < ixand));
     tc "3.10: multi-price lineitem satisfies the unmergeable between"
       (fun () ->
         (* prices 250 and 50: lineitem/price > 100 and < 200 is TRUE *)

@@ -426,6 +426,56 @@ let guarantee_tests =
               (wait_idle ());
             check Alcotest.bool "pool never exceeds target workers" true
               (Xpar.pool_size () <= 3)));
+    tc "LIMIT without a barrier stops the scan at parallelism 1/2/4"
+      (fun () ->
+        let db = Engine.create () in
+        ignore (sql db "CREATE TABLE t (a integer, d XML)");
+        (* row 2 fails the predicate; row 6 cannot be evaluated at all *)
+        List.iter
+          (fun a ->
+            let p = match a with 2 -> "-2" | 6 -> "x" | _ -> string_of_int a in
+            ignore
+              (sql db
+                 (Printf.sprintf "INSERT INTO t VALUES (%d, '<a><p>%s</p></a>')"
+                    a p)))
+          [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+        let q limit =
+          Printf.sprintf
+            "SELECT a FROM t WHERE XMLExists('$d/a[xs:double(p) > 0]' \
+             passing d as \"d\") FETCH FIRST %d ROWS ONLY"
+            limit
+        in
+        let at_levels src =
+          List.map
+            (fun p ->
+              Engine.set_parallelism db p;
+              Engine.set_profiling db true;
+              let snap = snapshot db src in
+              let c = Xprof.counters (Engine.profile db) in
+              Engine.set_profiling db false;
+              Engine.set_parallelism db 1;
+              (snap, List.assoc "rows_scanned" c, List.assoc "docs_scanned" c))
+            levels
+        in
+        (* 3 rows: rows 1, 3 and 4, after skipping row 2 *)
+        List.iter
+          (fun (snap, rows, docs) ->
+            check Alcotest.string "first three matches" "OK used=[]\na\n1\n3\n4"
+              snap;
+            check Alcotest.bool
+              (Printf.sprintf "rows_scanned %d <= 3 + 1 skipped" rows)
+              true (rows <= 4);
+            check Alcotest.bool
+              (Printf.sprintf "docs_scanned %d <= 3 + 1 skipped" docs)
+              true (docs <= 4))
+          (at_levels (q 3));
+        (* 5 rows reach past row 6: the same error at every level *)
+        let snaps = List.map (fun (s, _, _) -> s) (at_levels (q 5)) in
+        List.iter
+          (check Alcotest.string "same error at every level" (List.hd snaps))
+          snaps;
+        check Alcotest.bool "the limit past row 6 fails" true
+          (String.starts_with ~prefix:"ERROR" (List.hd snaps)));
     tc "XQDB0001 fires under parallelism (budget charged atomically)"
       (fun () ->
         let db = paper_db ~n_orders:40 () in

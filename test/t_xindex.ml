@@ -50,6 +50,33 @@ let index_tests =
         load idx pt
           [ "<order><lineitem price=\"99.50USD\"/><lineitem price=\"5\"/></order>" ];
         check Alcotest.int "entries" 2 (X.entry_count idx));
+    tc "tolerant: a postal-code load never fails, DOUBLE skips (2.1)"
+      (fun () ->
+        (* 30% Canadian codes ("K1A 0B1") are not castable to DOUBLE *)
+        let db = Engine.create () in
+        List.iter
+          (fun s -> ignore (sql db s))
+          [
+            "CREATE TABLE addresses (aid integer, adoc XML)";
+            "CREATE INDEX pc_num ON addresses(adoc) USING XMLPATTERN \
+             '//postalcode' AS DOUBLE";
+            "CREATE INDEX pc_str ON addresses(adoc) USING XMLPATTERN \
+             '//postalcode' AS VARCHAR(12)";
+          ];
+        Engine.load_documents db ~table:"addresses" ~column:"adoc"
+          (Workload.Feeds_gen.addresses ~canadian_frac:0.3 200);
+        let entries name =
+          X.entry_count
+            (List.find
+               (fun (i : X.t) -> i.X.def.X.iname = name)
+               (Engine.xml_indexes db))
+        in
+        check Alcotest.int "every document inserted" 200
+          (List.length (sql db "SELECT aid FROM addresses").rrows);
+        check Alcotest.int "VARCHAR: one entry per document" 200
+          (entries "pc_str");
+        check Alcotest.bool "DOUBLE: fewer entries than VARCHAR" true
+          (entries "pc_num" < entries "pc_str"));
     tc "broad //@* double index skips non-numeric attributes" (fun () ->
         let idx = mk_index "//@*" in
         let pt = PT.create () in

@@ -140,6 +140,17 @@ let t_eligible_pairs () =
         sql_run db
           "SELECT ordid FROM orders WHERE XMLExists('$o//lineitem/@price > \
            990' passing orddoc as \"o\")" );
+      ( "Q16/Q15",
+        sql_run db
+          "SELECT c.cid FROM orders o, customer c WHERE \
+           XMLExists('$o/order[custid/xs:double(.) = \
+           $c/customer/id/xs:double(.)]' passing o.orddoc as \"o\", c.cdoc \
+           as \"c\")",
+        sql_run db
+          "SELECT c.cid FROM orders o, customer c WHERE \
+           XMLCast(XMLQuery('$o/order/custid' passing o.orddoc as \"o\") as \
+           DOUBLE) = XMLCast(XMLQuery('$c/customer/id' passing c.cdoc as \
+           \"c\") as DOUBLE)" );
       ( "Q17/Q18",
         xq_run db
           "for $d in db2-fn:xmlcolumn('ORDERS.ORDDOC') for $i in \
