@@ -356,16 +356,7 @@ let exec_one db (line : string) =
           i.Xmlindex.Rel_index.iname i.Xmlindex.Rel_index.table
           i.Xmlindex.Rel_index.column
           (Xmlindex.Rel_index.entry_count i))
-      (Engine.rel_indexes db);
-    List.iter
-      (fun (i : Xmlindex.Structindex.t) ->
-        let d = i.Xmlindex.Structindex.def in
-        Printf.printf "%s ON %s(%s) structural (%d docs, %d nodes)\n"
-          d.Xmlindex.Structindex.iname d.Xmlindex.Structindex.table
-          d.Xmlindex.Structindex.column
-          (Xmlindex.Structindex.doc_count i)
-          (Xmlindex.Structindex.node_count i))
-      (Engine.struct_indexes db)
+      (Engine.rel_indexes db)
   end
   else if String.length line > 8 && String.sub line 0 8 = "\\advise " then begin
     let q = String.sub line 8 (String.length line - 8) in

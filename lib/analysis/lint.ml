@@ -385,38 +385,6 @@ let xquery_lint ?(catalog : Planner.catalog option)
     | _ -> ()
   in
   scan_between tree;
-  (* ---- XQLINT024: reverse/sibling axes over an uncovered collection
-     would be tree-walked; a structural index would serve them ---- *)
-  (match (catalog, Eligibility.Extract.reverse_axes q) with
-  | Some cat, (_ :: _ as axes) ->
-      let module S = Xmlindex.Structindex in
-      let lc = String.lowercase_ascii in
-      let covered coll =
-        List.exists
-          (fun (s : S.t) -> lc (S.collection_of_def s.S.def) = lc coll)
-          cat.Planner.sindexes
-      in
-      List.iter
-        (fun coll ->
-          if not (covered coll) then
-            add
-              (Diag.make ~tip:14 ~code:"XQLINT024" ~severity:Diag.Hint
-                 "this query walks the %s ax%s over collection %s by \
-                  navigation; CREATE STRUCTURAL INDEX ... ON %s would \
-                  make %s a structural join"
-                 (String.concat ", "
-                    (List.map Xquery.Ast.axis_name axes))
-                 (match axes with [ _ ] -> "is" | _ -> "es")
-                 coll
-                 (match String.index_opt coll '.' with
-                 | Some i ->
-                     Printf.sprintf "%s(%s)" (String.sub coll 0 i)
-                       (String.sub coll (i + 1)
-                          (String.length coll - i - 1))
-                 | None -> coll)
-                 (match axes with [ _ ] -> "it" | _ -> "them")))
-        (Eligibility.Extract.collections q)
-  | _ -> ());
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)

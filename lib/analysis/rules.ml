@@ -46,9 +46,6 @@ let tip_title = function
   | 13 ->
       "Section 3.10: make 'between' predicates singleton-safe (value \
        comparisons, self axis, or attributes)"
-  | 14 ->
-      "Structural indexing: reverse and sibling axes become index-served \
-       structural joins under CREATE STRUCTURAL INDEX"
   | _ -> "?"
 
 let code_of_tip (n : int) : string = Printf.sprintf "XQLINT%03d" n
@@ -125,15 +122,6 @@ let all : rule list =
                anything";
       paper = "Section 3.9 (attributes and text nodes have no children or \
                attributes)";
-    };
-    {
-      code = "XQLINT024";
-      tip = Some 14;
-      severity = Diag.Hint;
-      title = tip_title 14;
-      paper = "derived: pre/post structural joins (docs/STRUCTURAL.md) \
-               serve parent/ancestor/sibling steps that navigation must \
-               walk";
     };
   ]
 

@@ -175,7 +175,7 @@ let rec extend_with_steps env (dp : dpath) (steps : step list) : dpath option
       | Self | DescOrSelf | Parent | Ancestor | AncestorOrSelf
       | FollowingSibling | PrecedingSibling ->
           (* self/desc-or-self-with-test and reverse/sibling navigation:
-             give up on this path (conservative — the structural index,
+             give up on this path (conservative — the structural join,
              not the path-value index, owns those axes) *)
           None)
   | SExpr { expr; preds } :: rest -> (
@@ -699,9 +699,9 @@ let survey ~(on_expr : expr -> unit) ~(on_step : step -> unit) (q : query) :
   go q.body
 
 (** The reverse and sibling axes used anywhere in a query, in first-use
-    order — the steps only a structural index can index-accelerate
+    order — the steps only the structural join can accelerate
     (tree-walked otherwise). Feeds the planner's [nav-axis] EXPLAIN
-    notes and the advisor's structural-index tip. *)
+    notes. *)
 let reverse_axes (q : query) : Xquery.Ast.axis list =
   let seen = ref [] in
   let add a = if not (List.mem a !seen) then seen := a :: !seen in

@@ -29,9 +29,9 @@ val analyze :
   Predicate.t
 
 (** The reverse and sibling axes used anywhere in a query, in first-use
-    order — the steps only a structural index can index-accelerate
+    order — the steps only the structural join can accelerate
     (tree-walked otherwise). Feeds the planner's [nav-axis] EXPLAIN
-    notes and the advisor's structural-index tip. *)
+    notes. *)
 val reverse_axes : Xquery.Ast.query -> Xquery.Ast.axis list
 
 (** The stored collections ("TABLE.COLUMN") a query reads through

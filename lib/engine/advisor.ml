@@ -9,8 +9,7 @@
 
 type advice = {
   tip : int;
-      (** 1–12 = the paper's Tips; 13 = Section 3.10 (between); 14 =
-          structural-index advice (reverse/sibling axes) *)
+      (** 1–12 = the paper's Tips; 13 = Section 3.10 (between) *)
   title : string;
   detail : string;
 }

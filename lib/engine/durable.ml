@@ -161,11 +161,11 @@ let open_db ?(sync = true) ?(count = no_count) ~data_dir ~mk ~apply () =
     let gen = init_dir data_dir in
     cleanup_orphans data_dir gen;
     let snap = snapshot_path data_dir gen in
-    let db, xindexes, rindexes, sdefs =
+    let db, xindexes, rindexes =
       if Sys.file_exists snap then Wal.Snapshot.load ~path:snap ()
-      else (Storage.Database.create (), [], [], [])
+      else (Storage.Database.create (), [], [])
     in
-    let ctx = mk db xindexes rindexes sdefs in
+    let ctx = mk db xindexes rindexes in
     let wpath = wal_path data_dir gen in
     let res = Wal.replay ~apply:(apply ctx) wpath in
     let fresh = not (Sys.file_exists wpath) in
@@ -250,11 +250,10 @@ let journal_table t (tbl : Storage.Table.t) =
 (* Checkpoint & shutdown                                                *)
 (* ------------------------------------------------------------------ *)
 
-let checkpoint t ~db ~xindexes ~rindexes ~sindexes =
+let checkpoint t ~db ~xindexes ~rindexes =
   Faultinject.hit "checkpoint.begin";
   let next = t.gen + 1 in
-  Wal.Snapshot.save ~path:(snapshot_path t.data_dir next) db
-    xindexes rindexes sindexes;
+  Wal.Snapshot.save ~path:(snapshot_path t.data_dir next) db xindexes rindexes;
   Faultinject.hit "checkpoint.end";
   (* create the next log before publishing, so write_manifest's directory
      fsync also covers its entry; a crash in between leaves an orphan log

@@ -22,9 +22,8 @@ val generation : t -> int
       directory or an incompatible format version with [XQDB0005]);
     - remove orphan files from a crashed checkpoint;
     - load the live snapshot, when one exists;
-    - [mk db xindexes rindexes sdefs] builds the caller's execution
-      context around the recovered catalog (attaching the loaded indexes
-      and re-installing structural indexes from their definitions);
+    - [mk db xindexes rindexes] builds the caller's execution context
+      around the recovered catalog (attaching the loaded indexes);
     - replay the live WAL's committed statement groups through
       [apply ctx], in log order;
     - reopen the WAL for appending, truncating the torn/uncommitted tail.
@@ -42,7 +41,6 @@ val open_db :
     (Storage.Database.t ->
     Xmlindex.Xindex.t list ->
     Xmlindex.Rel_index.t list ->
-    Xmlindex.Structindex.def list ->
     'ctx) ->
   apply:('ctx -> Wal.record -> unit) ->
   unit ->
@@ -81,7 +79,6 @@ val checkpoint :
   db:Storage.Database.t ->
   xindexes:Xmlindex.Xindex.t list ->
   rindexes:Xmlindex.Rel_index.t list ->
-  sindexes:Xmlindex.Structindex.t list ->
   unit
 
 (** Flush and close the WAL. Idempotent. *)

@@ -50,11 +50,6 @@ type snapshot = {
   snap_db : Storage.Database.t;
   snap_x : Xmlindex.Xindex.t list;  (** snapshot views, ctx (newest-first) order *)
   snap_r : Xmlindex.Rel_index.t list;
-  snap_s : Xmlindex.Structindex.t list;
-      (** structural indexes, shared with the live engine: encodings are
-          immutable arrays keyed by root node id, and snapshot tables
-          share document trees by reference — a doc replaced after the
-          snapshot just loses its entry and falls back to tree-walk *)
 }
 
 type t = {
@@ -124,11 +119,7 @@ let txn_error fmt = Xdm.Xerror.raise_err "XQDB0007" fmt
 let database t = E.database t.sqlctx
 
 let catalog t : Planner.catalog =
-  {
-    Planner.db = database t;
-    indexes = E.xml_indexes t.sqlctx;
-    sindexes = E.struct_indexes t.sqlctx;
-  }
+  { Planner.db = database t; indexes = E.xml_indexes t.sqlctx }
 
 let mk_engine ?(registry = Xprof.Registry.create ()) db =
   let t =
@@ -166,7 +157,6 @@ let set_strict_types t b = E.set_strict_static t.sqlctx b
 let strict_types t = E.strict_static t.sqlctx
 let xml_indexes t = E.xml_indexes t.sqlctx
 let rel_indexes t = E.rel_indexes t.sqlctx
-let struct_indexes t = E.struct_indexes t.sqlctx
 
 (** Enable/disable index usage (for baselines and A/B benchmarks). *)
 let set_use_indexes t b = E.set_use_indexes t.sqlctx b
@@ -257,16 +247,12 @@ let open_db ?(sync = true) ~data_dir () : t =
   let count name = Xprof.Registry.incr registry name in
   let dur, t, redo =
     Durable.open_db ~sync ~count ~data_dir
-      ~mk:(fun db xindexes rindexes sdefs ->
+      ~mk:(fun db xindexes rindexes ->
         let t = mk_engine ~registry db in
         (* ctx index lists are built by consing, newest first; the
            snapshot preserved that order, so attach in reverse *)
         List.iter (E.attach_xml_index t.sqlctx) (List.rev xindexes);
         List.iter (E.attach_rel_index t.sqlctx) (List.rev rindexes);
-        (* structural indexes persist as definitions; re-encode the
-           freshly parsed documents (WAL replay then keeps the
-           encodings fresh through the maintenance hooks) *)
-        List.iter (E.attach_struct_index t.sqlctx) (List.rev sdefs);
         t)
       ~apply:(fun t rec_ ->
         match rec_ with
@@ -340,7 +326,7 @@ let build_snapshot t : snapshot =
           ~fallback:(all_rows i.Xmlindex.Rel_index.table))
       (rel_indexes t)
   in
-  { snap_csn = 0; snap_db; snap_x; snap_r; snap_s = struct_indexes t }
+  { snap_csn = 0; snap_db; snap_x; snap_r }
 
 (** Publish the current state as the newest committed snapshot. Caller
     holds the writer slot. The csn bump and the pointer flip happen
@@ -427,18 +413,13 @@ let live_env t : exec_env = { ectx = t.sqlctx; ecat = catalog t }
     build: the expensive copy-on-write happened at publish time. *)
 let read_env ?limits t (snap : snapshot) : exec_env =
   let c = E.create ~memo_lock:t.snap_memo_lock snap.snap_db in
-  E.adopt_indexes c ~xml:snap.snap_x ~rel:snap.snap_r ~structural:snap.snap_s;
+  E.adopt_indexes c ~xml:snap.snap_x ~rel:snap.snap_r;
   E.set_use_indexes c (use_indexes t);
   E.set_parallelism c (parallelism t);
   E.set_limits c (match limits with Some l -> l | None -> E.limits t.sqlctx);
   {
     ectx = c;
-    ecat =
-      {
-        Planner.db = snap.snap_db;
-        indexes = snap.snap_x;
-        sindexes = snap.snap_s;
-      };
+    ecat = { Planner.db = snap.snap_db; indexes = snap.snap_x };
   }
 
 (** A private context over the live state (read-your-writes) for a
@@ -477,8 +458,7 @@ let checkpoint t =
       autocommit_write t (fun () ->
           Durable.checkpoint dur ~db:(database t)
             ~xindexes:(E.xml_indexes t.sqlctx)
-            ~rindexes:(E.rel_indexes t.sqlctx)
-            ~sindexes:(E.struct_indexes t.sqlctx));
+            ~rindexes:(E.rel_indexes t.sqlctx));
       Xprof.Registry.incr t.registry "checkpoints_total"
 
 (** Flush and close the data directory. The handle keeps working as an
@@ -1316,19 +1296,6 @@ let check_consistency t : (string * string list) list =
       ( d.Xmlindex.Xindex.iname,
         Xmlindex.Xindex.check_consistency idx pt docs ))
     (xml_indexes t)
-  @ List.map
-      (fun (idx : Xmlindex.Structindex.t) ->
-        let d = idx.Xmlindex.Structindex.def in
-        let tbl =
-          Storage.Database.table_exn (database t) d.Xmlindex.Structindex.table
-        in
-        let docs =
-          List.map snd
-            (Storage.Table.xml_docs tbl d.Xmlindex.Structindex.column)
-        in
-        ( d.Xmlindex.Structindex.iname,
-          Xmlindex.Structindex.check_consistency idx docs ))
-      (struct_indexes t)
 
 (** Validate every document of an XML column against [schema] in place
     (per-document typing, Section 2.1 of the paper). Returns the number of

@@ -111,7 +111,6 @@ val database : t -> Storage.Database.t
 val catalog : t -> Planner.catalog
 val xml_indexes : t -> Xmlindex.Xindex.t list
 val rel_indexes : t -> Xmlindex.Rel_index.t list
-val struct_indexes : t -> Xmlindex.Structindex.t list
 
 (** {1 Profiling & metrics} *)
 
@@ -363,10 +362,7 @@ val load_parsed_documents :
 val parse_documents : t -> string list -> Xdm.Node.t list
 
 (** Re-derive every XML index's expected entries and diff them against
-    the B+Tree, and validate every structural index's pre/post encodings
-    (interval containment, parent/level laws, exact match against a
-    fresh re-encode of the live trees); all-empty lists mean the indexes
-    are consistent. *)
+    the B+Tree; all-empty lists mean the indexes are consistent. *)
 val check_consistency : t -> (string * string list) list
 
 (** Validate every document of an XML column against [schema] in place;

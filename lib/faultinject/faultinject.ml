@@ -30,8 +30,6 @@ let points () =
     "storage.update";     (* entry of Storage.Table.update (per row) *)
     "index.insert_doc";   (* entry of Xmlindex.Xindex.insert_doc (per doc) *)
     "index.delete_doc";   (* entry of Xmlindex.Xindex.delete_doc (per doc) *)
-    "structindex.insert_doc"; (* Structindex.insert_doc (per doc encode) *)
-    "structindex.remove_doc"; (* Structindex.remove_doc (per doc) *)
     "btree.split";        (* a B+Tree leaf is about to split *)
     "eval.step";          (* every Xquery.Eval.eval step *)
     "wal.append";         (* a WAL record is about to be appended *)

@@ -16,11 +16,7 @@ module M = Eligibility.Match_index
 module X = Xmlindex.Xindex
 module S = Xmlindex.Structindex
 
-type catalog = {
-  db : Storage.Database.t;
-  indexes : X.t list;
-  sindexes : S.t list;  (** structural (pre/post) node-encoding indexes *)
-}
+type catalog = { db : Storage.Database.t; indexes : X.t list }
 
 type t = {
   restrictions : (string * Xdm.Int_set.t) list;
@@ -496,57 +492,32 @@ let struct_shape (body : Xquery.Ast.expr) :
       Option.map (fun steps -> (coll, steps)) (axes [] rest)
   | _ -> None
 
-let sindex_for (cat : catalog) (coll : string) : S.t option =
-  List.find_opt
-    (fun (s : S.t) -> norm (S.collection_of_def s.S.def) = norm coll)
-    cat.sindexes
-
 (** The structural join as the path decomposition's per-tree evaluator
     (see {!Xquery.Eval.eval_lazy}): when the body has the [PStructJoin]
-    shape and the collection is covered, each document's steps run as
-    array joins over its (pre, post, parent, level) encoding. A document
-    without an encoding (e.g. replaced after an MVCC snapshot was taken)
-    answers [None] and is walked instead, so the result is always exactly
-    the navigational one. Returns the join and the plan with its notes;
-    [None] when the shape or the index is missing. *)
-let structural (cat : catalog) (c : compiled) (plan_t : t) :
-    ((Xquery.Ctx.t -> Xdm.Node.t -> Xdm.Node.t list option) * t) option =
+    shape, each document's steps run as array joins over its (pre, post,
+    parent, level) encoding, memoized on the document root on first use.
+    Returns the join and the plan with its notes; [None] when the shape
+    does not match. *)
+let structural (c : compiled) (plan_t : t) :
+    ((Xquery.Ctx.t -> Xdm.Node.t -> Xdm.Node.t list) * t) option =
   match struct_shape c.c_query.Xquery.Ast.body with
   | None -> None
-  | Some (coll, steps) -> (
-      match sindex_for cat coll with
-      | None -> None
-      | Some sidx ->
-          let iname = sidx.S.def.S.iname in
-          let join (ctx : Xquery.Ctx.t) root =
-            let prof = ctx.Xquery.Ctx.prof in
-            Xprof.spanned prof ("PSTRUCTJOIN " ^ iname) (fun () ->
-                S.query ~prof sidx root steps)
-          in
-          let step_notes =
-            List.map
-              (fun (axis, test) ->
-                Printf.sprintf "  PSTRUCTJOIN %s::%s via %s"
-                  (Xquery.Ast.axis_name axis)
-                  (Xquery.Ast.nodetest_to_string test)
-                  iname)
-              steps
-          in
-          let notes =
-            Printf.sprintf
-              "collection %s: structural join over %s (%d axis steps, %d \
-               encoded docs)"
-              coll iname (List.length steps) (S.doc_count sidx)
-            :: step_notes
-          in
-          Some
-            ( join,
-              {
-                plan_t with
-                notes = plan_t.notes @ notes;
-                indexes_used =
-                  List.sort_uniq compare (iname :: plan_t.indexes_used);
-              } ))
+  | Some (coll, steps) ->
+      let join (ctx : Xquery.Ctx.t) root =
+        let prof = ctx.Xquery.Ctx.prof in
+        Xprof.spanned prof "PSTRUCTJOIN" (fun () -> S.query ~prof root steps)
+      in
+      let notes =
+        Printf.sprintf "collection %s: structural join (%d axis steps)" coll
+          (List.length steps)
+        :: List.map
+             (fun (axis, test) ->
+               Printf.sprintf "  PSTRUCTJOIN %s::%s"
+                 (Xquery.Ast.axis_name axis)
+                 (Xquery.Ast.nodetest_to_string test))
+             steps
+      in
+      Some (join, { plan_t with notes = plan_t.notes @ notes })
 
 (** Make the structural-vs-navigation choice visible: when a query walks
     a reverse or sibling axis without a structural join, say so in the
@@ -596,7 +567,7 @@ let execute ?(limits = Xdm.Limits.unlimited) ?(prof = Xprof.disabled)
   in
   let ctx = Xquery.Ctx.bind_all ctx vars in
   let join, plan_t =
-    match if use_indexes then structural cat c plan_t else None with
+    match if use_indexes then structural c plan_t else None with
     | Some (join, plan_t) -> (Some join, plan_t)
     | None -> (None, nav_axis_notes c plan_t)
   in

@@ -7,12 +7,7 @@
 
 (** What the planner plans against: the stored tables plus the installed
     XML indexes. *)
-type catalog = {
-  db : Storage.Database.t;
-  indexes : Xmlindex.Xindex.t list;
-  sindexes : Xmlindex.Structindex.t list;
-      (** structural (pre/post) node-encoding indexes *)
-}
+type catalog = { db : Storage.Database.t; indexes : Xmlindex.Xindex.t list }
 
 (** A plan: per-collection row restrictions plus its EXPLAIN trace. *)
 type t = {
@@ -73,8 +68,8 @@ val compile : string -> compiled
     its producer, the plan and the statement's governor. Planning (index
     probes) happens at the call; items are produced as the consumer
     pulls — per document or per [for] binding where the query
-    decomposes, through the structural join when the body is an axis
-    pipeline over a covered collection, in contiguous chunks when
+    decomposes, through the structural join when the body is a
+    predicate-free axis pipeline over a collection, in contiguous chunks when
     [parallelism > 1]. Materializing is [List.of_seq]; a cursor that
     closes early stops charging the meter. [use_indexes] defaults to
     [true] ([false] is the baseline collection scan, Definition 1's

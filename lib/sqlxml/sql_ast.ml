@@ -108,7 +108,9 @@ type stmt =
       cs_name : string;
       cs_table : string;
       cs_column : string;
-    }  (** CREATE STRUCTURAL INDEX: pre/post node-encoding table *)
+    }
+      (** CREATE STRUCTURAL INDEX: validates the table and column and
+          creates nothing (the structural join needs no index) *)
   | Insert of string * sexpr list list
   | Update of {
       upd_table : string;

@@ -32,7 +32,6 @@ type ctx = {
   db : Storage.Database.t;
   mutable xindexes : Xmlindex.Xindex.t list;
   mutable rindexes : Xmlindex.Rel_index.t list;
-  mutable sindexes : Xmlindex.Structindex.t list;
   mutable use_indexes : bool;
   mutable notes : string list;  (** EXPLAIN trace of the last statement *)
   mutable used : string list;  (** indexes used by the last statement *)
@@ -84,7 +83,6 @@ let create ?memo_lock db =
     db;
     xindexes = [];
     rindexes = [];
-    sindexes = [];
     use_indexes = true;
     notes = [];
     used = [];
@@ -106,7 +104,7 @@ let note ctx fmt =
   Format.kasprintf (fun m -> ctx.notes <- m :: ctx.notes) fmt
 
 let catalog ctx : Planner.catalog =
-  { Planner.db = ctx.db; indexes = ctx.xindexes; sindexes = ctx.sindexes }
+  { Planner.db = ctx.db; indexes = ctx.xindexes }
 
 (* ------------------------------------------------------------------ *)
 (* Accessors — the supported surface for callers (engine facade,       *)
@@ -117,7 +115,6 @@ let catalog ctx : Planner.catalog =
 let database ctx = ctx.db
 let xml_indexes ctx = ctx.xindexes
 let rel_indexes ctx = ctx.rindexes
-let struct_indexes ctx = ctx.sindexes
 let use_indexes ctx = ctx.use_indexes
 let set_use_indexes ctx b = ctx.use_indexes <- b
 let limits ctx = ctx.limits
@@ -1233,93 +1230,14 @@ let install_rel_index ctx ~iname ~table ~column : Xmlindex.Rel_index.t =
   ctx.rindexes <- ri :: ctx.rindexes;
   ri
 
-(** Wire the maintenance hooks of a structural (pre/post encoding) index
-    into its table. Hooks fire on every insert/delete — including undo
-    rollback and WAL replay — so encodings track the live document set. *)
-let wire_struct_index_hooks ctx (idx : Xmlindex.Structindex.t) =
-  let d = idx.Xmlindex.Structindex.def in
-  let t = Storage.Database.table_exn ctx.db d.Xmlindex.Structindex.table in
-  let coli = Storage.Table.col_index_exn t d.Xmlindex.Structindex.column in
-  let docs_of (r : Storage.Table.row) =
-    match r.Storage.Table.values.(coli) with
-    | SV.Xml seq ->
-        List.filter_map
-          (function Xdm.Item.N n -> Some n | Xdm.Item.A _ -> None)
-          seq
-    | _ -> []
-  in
-  Storage.Table.add_hook t
-    {
-      on_insert =
-        (fun r -> List.iter (Xmlindex.Structindex.insert_doc idx) (docs_of r));
-      on_delete =
-        (fun r -> List.iter (Xmlindex.Structindex.remove_doc idx) (docs_of r));
-    };
-  (t, docs_of)
-
-(** Attach a structural index from its recovered definition (snapshot
-    recovery): wire hooks, re-encode the restored documents, register. *)
-let attach_struct_index ctx (d : Xmlindex.Structindex.def) : unit =
-  let idx = Xmlindex.Structindex.create ~prof:ctx.prof d in
-  let t, docs_of = wire_struct_index_hooks ctx idx in
-  List.iter
-    (fun (r : Storage.Table.row) ->
-      List.iter (Xmlindex.Structindex.insert_doc idx) (docs_of r))
-    (Storage.Table.rows t);
-  ctx.sindexes <- idx :: ctx.sindexes;
-  bump_catalog_gen ctx
-
 (** Register existing index objects without wiring hooks — for read-only
     snapshot contexts, which share the publisher's indexes (snapshot
-    index views, immutable per-doc encodings whose missing entries fall
-    back to tree-walk) and never mutate tables. Hooks would be dead
+    index views) and never mutate tables. Hooks would be dead
     weight there: snapshot tables are reused across statements until a
     writer touches them, so each statement would stack one more. *)
-let adopt_indexes ctx ~xml ~rel ~structural : unit =
+let adopt_indexes ctx ~xml ~rel : unit =
   ctx.xindexes <- xml;
-  ctx.rindexes <- rel;
-  ctx.sindexes <- structural
-
-(** Wire hooks for a new structural index and backfill it from existing
-    rows. The pure encoding pass (preorder walk → pre/post/parent/level
-    arrays) runs in parallel chunks; installs are applied single-threaded
-    in row order, identical to a sequential build. *)
-let install_struct_index ctx (d : Xmlindex.Structindex.def) :
-    Xmlindex.Structindex.t =
-  let idx = Xmlindex.Structindex.create ~prof:ctx.prof d in
-  let t, docs_of = wire_struct_index_hooks ctx idx in
-  let backfill = Storage.Table.rows t in
-  let many = match backfill with _ :: _ :: _ -> true | _ -> false in
-  if ctx.parallelism > 1 && many then begin
-    let computed =
-      Xpar.map_chunks ~parallelism:ctx.parallelism
-        (fun _ chunk ->
-          Array.map
-            (fun (r : Storage.Table.row) ->
-              List.map
-                (fun doc -> (doc, Xmlindex.Structindex.encode_doc doc))
-                (docs_of r))
-            chunk)
-        (Array.of_list backfill)
-    in
-    Xprof.par ctx.prof ~chunks:(Array.length computed);
-    Array.iter
-      (fun chunk ->
-        Array.iter
-          (fun per_doc ->
-            List.iter
-              (fun (doc, enc) -> Xmlindex.Structindex.install idx doc enc)
-              per_doc)
-          chunk)
-      (Xpar.join computed)
-  end
-  else
-    List.iter
-      (fun (r : Storage.Table.row) ->
-        List.iter (Xmlindex.Structindex.insert_doc idx) (docs_of r))
-      backfill;
-  ctx.sindexes <- idx :: ctx.sindexes;
-  idx
+  ctx.rindexes <- rel
 
 (** Execute one SQL/XML statement with statement-level atomicity: every
     table/index mutation records its compensation in a per-statement undo
@@ -1398,15 +1316,12 @@ and exec_inner ctx log (stmt : stmt) : result =
            ~column:cr_column);
       bump_catalog_gen ctx;
       { rcols = []; rrows = [] }
-  | CreateStructIndex { cs_name; cs_table; cs_column } ->
-      ignore
-        (install_struct_index ctx
-           {
-             Xmlindex.Structindex.iname = cs_name;
-             table = cs_table;
-             column = cs_column;
-           });
-      bump_catalog_gen ctx;
+  | CreateStructIndex { cs_name = _; cs_table; cs_column } ->
+      (* accepted for compatibility (scripts, old WALs replay it): the
+         structural join needs no index, each document's encoding is
+         memoized on its root at first use; the names are still checked *)
+      let t = Storage.Database.table_exn ctx.db cs_table in
+      ignore (Storage.Table.col_index_exn t cs_column);
       { rcols = []; rrows = [] }
   | Insert (name, rows) ->
       let t = Storage.Database.table_exn ctx.db name in
@@ -1498,12 +1413,6 @@ and exec_inner ctx log (stmt : stmt) : result =
           (fun (i : Xmlindex.Rel_index.t) ->
             lc i.Xmlindex.Rel_index.iname <> lc name)
           ctx.rindexes;
-      ctx.sindexes <-
-        List.filter
-          (fun (i : Xmlindex.Structindex.t) ->
-            lc i.Xmlindex.Structindex.def.Xmlindex.Structindex.iname
-            <> lc name)
-          ctx.sindexes;
       bump_catalog_gen ctx;
       { rcols = []; rrows = [] }
 

@@ -4,8 +4,10 @@
     Layout: the header [magic, u32 format version], then one
     {!Codec.frame} per catalog entry, each payload opening with a tag
     byte: ['T'] per table, then ['X'] per XML index, ['R'] per relational
-    index, and last one ['S'] holding the structural-definition list. A
-    snapshot loads whole or not at all. Recovery = load the snapshot,
+    index, and last one ['S'] holding a list of structural-index
+    definitions, which closes the file. This build writes that list
+    empty and ignores definitions found in older files. A snapshot loads
+    whole or not at all. Recovery = load the snapshot,
     then replay the WAL tail on top.
 
     Node identity is the one thing that does not survive serialization:
@@ -235,21 +237,17 @@ let g_rindex r : Xmlindex.Rel_index.t =
   in
   Xmlindex.Rel_index.of_entries ~iname ~table ~column entries
 
-(* Structural indexes persist as bare definitions: the pre/post encoding
-   tables are keyed by node ids, which do not survive serialization, so
-   the loader's caller re-encodes the freshly parsed documents instead
-   (a linear walk — cheaper than remapping every array entry). *)
-let enc_sindex buf (idx : Xmlindex.Structindex.t) =
-  let d = idx.Xmlindex.Structindex.def in
-  C.str buf d.Xmlindex.Structindex.iname;
-  C.str buf d.Xmlindex.Structindex.table;
-  C.str buf d.Xmlindex.Structindex.column
+(* The closing ['S'] entry: a list of structural-index definitions
+   (name, table, column). Structural indexes are no longer catalog
+   objects — each document's pre/post encoding is memoized on its root —
+   so the list is written empty (a zero count) and older files'
+   definitions are read and dropped. *)
+let enc_sdefs buf () = C.uvarint buf 0
 
-let g_sindex r : Xmlindex.Structindex.def =
-  let iname = C.g_str r in
-  let table = C.g_str r in
-  let column = C.g_str r in
-  { Xmlindex.Structindex.iname; table; column }
+let g_sdef r =
+  for _ = 1 to 3 do
+    ignore (C.g_str r)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The file: header, then one frame per catalog entry                  *)
@@ -257,7 +255,7 @@ let g_sindex r : Xmlindex.Structindex.def =
 
 (** Write a full snapshot of [db] (plus indexes) to [path] and fsync it.
     Only one entry's bytes are held at a time. *)
-let save ~path db xindexes rindexes sindexes =
+let save ~path db xindexes rindexes =
   let fd = Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -275,12 +273,12 @@ let save ~path db xindexes rindexes sindexes =
       List.iter (entry 'T' enc_table) (Database.tables db);
       List.iter (entry 'X' (enc_xindex db)) xindexes;
       List.iter (entry 'R' enc_rindex) rindexes;
-      entry 'S' (C.list enc_sindex) sindexes;
+      entry 'S' enc_sdefs ();
       Unix.fsync fd)
 
 (** Decode the entry frames after the header: tables, XML indexes,
     relational indexes, then the closing structural-definition list,
-    which must end the file. *)
+    which must end the file and whose definitions are dropped. *)
 let decode_entries (r : C.reader) =
   let db = Database.create () in
   let rec go xs rs =
@@ -303,9 +301,9 @@ let decode_entries (r : C.reader) =
     | 'X' -> go (entry (g_xindex db) :: xs) rs
     | 'R' -> go xs (entry g_rindex :: rs)
     | 'S' ->
-        let sdefs = entry (C.g_list g_sindex) in
+        ignore (entry (C.g_list g_sdef));
         if not (C.at_end r) then C.corrupt "trailing bytes at %d" r.C.pos;
-        (db, List.rev xs, List.rev rs, sdefs)
+        (db, List.rev xs, List.rev rs)
     | c -> C.corrupt "bad entry tag %C" c
   in
   go [] []
@@ -314,10 +312,7 @@ let decode_entries (r : C.reader) =
     or incompatible format and on any bad frame, short file or trailing
     bytes. *)
 let load ~path () :
-    Database.t
-    * Xmlindex.Xindex.t list
-    * Xmlindex.Rel_index.t list
-    * Xmlindex.Structindex.def list =
+    Database.t * Xmlindex.Xindex.t list * Xmlindex.Rel_index.t list =
   let data =
     try In_channel.with_open_bin path In_channel.input_all
     with Sys_error _ -> format_error "cannot read snapshot %s" path

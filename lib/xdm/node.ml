@@ -14,6 +14,12 @@ type kind = Document | Element | Attribute | Text | Comment | Pi
     [Xschema]) replaces the annotation with a simple type. *)
 type annotation = Untyped | SimpleType of Atomic.atomic_type
 
+(** Data derived from a whole tree and memoized on its root. Extensible
+    because its one constructor, the structural join's pre/post encoding
+    ({!Xmlindex.Structindex.encoding}), is defined in a library above
+    this one. *)
+type memo = ..
+
 type t = {
   id : int;
   kind : kind;
@@ -33,12 +39,19 @@ type t = {
           load overrides it (see {!set_tree_order}) so collection order
           follows row order even when documents were parsed in parallel
           and their ids interleave across chunks *)
+  memo : memo option Stdlib.Atomic.t;
+      (** see {!memoize}; meaningful on document nodes only *)
 }
 
 (* Atomic so parallel chunks (constructors, parsing) can mint ids
    concurrently without duplicates. *)
 let counter = Stdlib.Atomic.make 0
 let fresh_id () = Stdlib.Atomic.fetch_and_add counter 1 + 1
+
+(* Only document nodes get a memo cell of their own; every other node
+   shares this one, which {!memoize} never writes. *)
+let no_memo = Stdlib.Atomic.make None
+let memo_cell = function Document -> Stdlib.Atomic.make None | _ -> no_memo
 
 let mk kind name =
   let id = fresh_id () in
@@ -55,6 +68,7 @@ let mk kind name =
     ord = 0;
     ord_valid = false;
     tree_ord = id;
+    memo = memo_cell kind;
   }
 
 let document () = mk Document None
@@ -86,7 +100,10 @@ let pi target data =
 
 let rec root n = match n.parent with None -> n | Some p -> root p
 
-let invalidate_order n = (root n).ord_valid <- false
+let invalidate_order n =
+  let r = root n in
+  r.ord_valid <- false;
+  if Option.is_some (Stdlib.Atomic.get r.memo) then Stdlib.Atomic.set r.memo None
 
 let append_child parent child =
   child.parent <- Some parent;
@@ -138,6 +155,21 @@ let doc_compare a b =
 let set_tree_order root rank = root.tree_ord <- rank
 
 let fresh_rank () = fresh_id ()
+
+(** The memo of document node [n], computing it on first use. Stored
+    trees are not mutated after parse (a mutation clears the memo, see
+    {!invalidate_order}), so the memo stays valid for the tree's
+    lifetime and is freed with it. Domains racing on the first use each
+    compute, and one compare-and-set publishes: every caller gets the
+    published value. Other nodes are computed afresh at every call. *)
+let memoize n (compute : unit -> memo) : memo =
+  match Stdlib.Atomic.get n.memo with
+  | Some m -> m
+  | None -> (
+      let m = compute () in
+      if n.kind <> Document || Stdlib.Atomic.compare_and_set n.memo None (Some m)
+      then m
+      else match Stdlib.Atomic.get n.memo with Some won -> won | None -> m)
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
@@ -201,6 +233,7 @@ let rec copy ?(strip_types = true) n =
       ord = 0;
       ord_valid = false;
       tree_ord = id;
+      memo = memo_cell n.kind;
     }
   in
   let kids = List.map (fun k -> copy ~strip_types k) n.children in

@@ -109,7 +109,7 @@ let of_string (src : string) : t =
         | Parent -> invalid "parent axis not allowed in XMLPATTERN"
         | Ancestor | AncestorOrSelf | FollowingSibling | PrecedingSibling ->
             invalid "%s axis not allowed in XMLPATTERN (reverse and \
-                     sibling axes are served by structural indexes)"
+                     sibling axes are served by the structural join)"
               (axis_name axis))
     | SExpr _ :: _ -> invalid "XMLPATTERN cannot contain general expressions"
   in

@@ -1,10 +1,11 @@
-(** Structural node-encoding index: (pre, post, parent-pre, level) per
-    node, the classic interval encoding of the structural-join family.
+(** The pre/post interval encoding of a document — (pre, post,
+    parent-pre, level) per node, the classic encoding of the
+    structural-join family — and the axis-step joins over it.
 
-    Each stored document gets one {!enc}: arrays indexed by the node's
+    Each document gets one {!enc}: arrays indexed by the node's
     *preorder rank* within its tree, walked in {!Xdm.Node.renumber}
     order (node, attributes, children) so preorder rank order is
-    document order. The derived laws the consistency checker validates:
+    document order. The derived laws:
 
     - [descendant(x)] ⇔ [pre x < pre y ≤ end x] — a subtree is a
       contiguous preorder interval, closed by [endp] (its last preorder
@@ -20,23 +21,16 @@
     which the path-value {!Xindex} cannot express — in one pass per
     document, without materializing intermediate node lists.
 
-    Encodings are keyed by the *root node's id*. Node trees are shared
-    by reference across MVCC table snapshots (only row records are
-    copied), so a reader snapshot keeps resolving its documents'
-    encodings while a writer loads more; a missing encoding (e.g. the
-    document was replaced after the snapshot) falls back to tree-walk
-    evaluation per document, never to a wrong answer. The table of
-    encodings is guarded by [latch]; the arrays themselves are immutable
-    once built. *)
+    The encoding is derived data of an immutable tree, so it is not a
+    catalog object: {!encoding} computes it on a document's first
+    structural use and memoizes it on the root node
+    ({!Xdm.Node.memoize}). Node trees are shared by reference across
+    MVCC table snapshots, so every snapshot sees the same memo, and the
+    memo is freed with its tree. *)
 
 open Xquery.Ast
 module Node = Xdm.Node
 module Qname = Xdm.Qname
-
-type def = { iname : string; table : string; column : string }
-
-(** "TABLE.COLUMN", the collection a def serves. *)
-let collection_of_def (d : def) = d.table ^ "." ^ d.column
 
 (* preorder-indexed; all arrays share length = node count of the tree *)
 type enc = {
@@ -47,39 +41,6 @@ type enc = {
   kind : int array;  (** {!kind_code} of the node kind *)
   endp : int array;  (** last preorder rank of the subtree *)
 }
-
-type stats = { mutable probes : int; mutable entries : int }
-
-type t = {
-  def : def;
-  latch : Xpar.Lock.t;
-      (** guards [encs] (arrays are immutable once in); named so it
-          participates in lock-order/deadlock tracking *)
-  encs : (int, enc) Hashtbl.t;  (** root node id → encoding *)
-  stats : stats;
-  prof : Xprof.t;  (** shared statement profile, set by the engine *)
-}
-
-let fresh_stats () = { probes = 0; entries = 0 }
-
-let create ?(prof = Xprof.disabled) (def : def) : t =
-  {
-    def;
-    latch = Xpar.Lock.create ~name:"structindex.encs" ();
-    encs = Hashtbl.create 64;
-    stats = fresh_stats ();
-    prof;
-  }
-
-let locked t f = Xpar.Lock.with_lock t.latch f
-
-let doc_count t = locked t (fun () -> Hashtbl.length t.encs)
-let stats t = (t.stats.probes, t.stats.entries)
-
-(** Total encoded nodes across every document in the table. *)
-let node_count t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ e acc -> acc + Array.length e.nodes) t.encs 0)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -106,9 +67,7 @@ let rec tree_size (n : Node.t) =
     (1 + List.length n.Node.attrs)
     n.Node.children
 
-(** Encode one document. Pure — safe to run in parallel backfill chunks;
-    installing the result into the index is the caller's (single-
-    threaded) job. *)
+(** Encode one document. Pure. *)
 let encode_doc (root : Node.t) : enc =
   let n = tree_size root in
   let e =
@@ -138,21 +97,13 @@ let encode_doc (root : Node.t) : enc =
   go 0 (-1) root;
   e
 
-(** Install a precomputed encoding (parallel backfill's apply phase). *)
-let install t (root : Node.t) (e : enc) =
-  locked t (fun () -> Hashtbl.replace t.encs root.Node.id e)
+type Node.memo += Prepost of enc
 
-(** Encode and install one document (hook path). *)
-let insert_doc t (root : Node.t) =
-  Faultinject.hit "structindex.insert_doc";
-  install t root (encode_doc root)
-
-let remove_doc t (root : Node.t) =
-  Faultinject.hit "structindex.remove_doc";
-  locked t (fun () -> Hashtbl.remove t.encs root.Node.id)
-
-let find t (root : Node.t) : enc option =
-  locked t (fun () -> Hashtbl.find_opt t.encs root.Node.id)
+(** The encoding of a document, memoized on its root node. *)
+let encoding (root : Node.t) : enc =
+  match Node.memoize root (fun () -> Prepost (encode_doc root)) with
+  | Prepost e -> e
+  | _ -> encode_doc root
 
 (* ------------------------------------------------------------------ *)
 (* Axis-step joins                                                     *)
@@ -283,99 +234,29 @@ let test_matches (e : enc) (axis : axis) (test : nodetest) (j : int) : bool =
 
 (** Evaluate a chain of predicate-free axis steps over one document,
     starting from its root. Returns the result nodes in preorder
-    (= document order within the tree), or [None] when the document has
-    no encoding (caller falls back to tree-walk evaluation). *)
-let query ?(prof = Xprof.disabled) t (root : Node.t)
-    (steps : (axis * nodetest) list) : Node.t list option =
-  match find t root with
-  | None -> None
-  | Some e ->
-      let n = Array.length e.nodes in
-      let ctx = Array.make n false in
-      ctx.(0) <- true;
-      let scanned = ref 0 in
-      let marks =
-        List.fold_left
-          (fun ctx (axis, test) ->
-            let out, touched = axis_candidates e axis ctx in
-            for j = 0 to n - 1 do
-              if out.(j) && not (test_matches e axis test j) then
-                out.(j) <- false
-            done;
-            scanned := !scanned + touched;
-            t.stats.probes <- t.stats.probes + 1;
-            Xprof.struct_probe prof;
-            out)
-          ctx steps
-      in
-      t.stats.entries <- t.stats.entries + !scanned;
-      Xprof.struct_entries prof !scanned;
-      let acc = ref [] in
-      for j = n - 1 downto 0 do
-        if marks.(j) then acc := e.nodes.(j) :: !acc
-      done;
-      Some !acc
-
-(* ------------------------------------------------------------------ *)
-(* Consistency checking                                                *)
-(* ------------------------------------------------------------------ *)
-
-(** Validate the index against the live documents of its column: every
-    document encoded, no stale encodings, and each encoding both matches
-    a fresh walk of the tree and satisfies the interval laws. Returns
-    human-readable problems (empty = consistent). *)
-let check_consistency t (docs : Node.t list) : string list =
-  let problems = ref [] in
-  let add fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
-  let live = Hashtbl.create 64 in
-  List.iter (fun (d : Node.t) -> Hashtbl.replace live d.Node.id ()) docs;
-  locked t (fun () ->
-      Hashtbl.iter
-        (fun id _ ->
-          if not (Hashtbl.mem live id) then
-            add "stale encoding for dropped document (root id %d)" id)
-        t.encs);
-  List.iter
-    (fun (root : Node.t) ->
-      match find t root with
-      | None -> add "missing encoding for document (root id %d)" root.Node.id
-      | Some e ->
-          let fresh = encode_doc root in
-          let n = Array.length e.nodes in
-          if n <> Array.length fresh.nodes then
-            add "doc %d: encoding has %d nodes, tree has %d" root.Node.id n
-              (Array.length fresh.nodes)
-          else
-            for j = 0 to n - 1 do
-              if e.nodes.(j).Node.id <> fresh.nodes.(j).Node.id then
-                add "doc %d: pre %d encodes node %d, tree walk finds %d"
-                  root.Node.id j e.nodes.(j).Node.id fresh.nodes.(j).Node.id;
-              if
-                e.post.(j) <> fresh.post.(j)
-                || e.parent.(j) <> fresh.parent.(j)
-                || e.level.(j) <> fresh.level.(j)
-                || e.kind.(j) <> fresh.kind.(j)
-                || e.endp.(j) <> fresh.endp.(j)
-              then add "doc %d: pre %d encoding differs from tree" root.Node.id j;
-              (* interval laws *)
-              let p = e.parent.(j) in
-              if j = 0 then begin
-                if p <> -1 || e.level.(j) <> 0 then
-                  add "doc %d: root must have parent -1, level 0" root.Node.id
-              end
-              else if p < 0 || p >= j then
-                add "doc %d: pre %d has non-ancestor parent %d" root.Node.id j p
-              else begin
-                if not (j > p && j <= e.endp.(p)) then
-                  add "doc %d: pre %d outside parent %d's interval (%d,%d]"
-                    root.Node.id j p p e.endp.(p);
-                if e.level.(j) <> e.level.(p) + 1 then
-                  add "doc %d: pre %d level %d, parent level %d" root.Node.id j
-                    e.level.(j) e.level.(p);
-                if e.post.(j) >= e.post.(p) then
-                  add "doc %d: pre %d post %d not before parent post %d"
-                    root.Node.id j e.post.(j) e.post.(p)
-              end
-            done)
-    docs;
-  List.rev !problems
+    (= document order within the tree). *)
+let query ?(prof = Xprof.disabled) (root : Node.t)
+    (steps : (axis * nodetest) list) : Node.t list =
+  let e = encoding root in
+  let n = Array.length e.nodes in
+  let ctx = Array.make n false in
+  ctx.(0) <- true;
+  let scanned = ref 0 in
+  let marks =
+    List.fold_left
+      (fun ctx (axis, test) ->
+        let out, touched = axis_candidates e axis ctx in
+        for j = 0 to n - 1 do
+          if out.(j) && not (test_matches e axis test j) then out.(j) <- false
+        done;
+        scanned := !scanned + touched;
+        Xprof.struct_probe prof;
+        out)
+      ctx steps
+  in
+  Xprof.struct_entries prof !scanned;
+  let acc = ref [] in
+  for j = n - 1 downto 0 do
+    if marks.(j) then acc := e.nodes.(j) :: !acc
+  done;
+  !acc

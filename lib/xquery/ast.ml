@@ -193,7 +193,7 @@ let axis_name = function
   | PrecedingSibling -> "preceding-sibling"
 
 (** Reverse axes (and the sibling axes, which likewise escape the
-    downward XMLPATTERN fragment): the steps a structural index can
+    downward XMLPATTERN fragment): the steps the structural join can
     answer but a path-value index cannot. *)
 let is_reverse_or_sibling = function
   | Parent | Ancestor | AncestorOrSelf | FollowingSibling | PrecedingSibling

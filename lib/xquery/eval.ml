@@ -585,8 +585,8 @@ let group_by_tree (nodes : Node.t list) : Node.t list list =
     first pull); otherwise they stream, and resource-meter and profile
     charges happen as the consumer pulls, so closing a cursor early stops
     the spend. [join] plugs a per-tree evaluator into the path shape: a
-    tree whose output is one root node is handed to it, and [None] means
-    "walk the tree" — the planner's structural join uses this. *)
+    tree whose output is one root node is handed to it instead of being
+    walked — the planner's structural join uses this. *)
 let rec eval_lazy ?join ?(parallelism = 1) ?chunk_size (ctx : Ctx.t)
     (e : expr) : Item.t Seq.t =
  fun () ->
@@ -624,11 +624,8 @@ and units ?join (ctx : Ctx.t) (e : expr) :
            (fun tree c ->
              List.to_seq
                (match (join, tree) with
-               | Some j, [ root ] when root.Node.parent = None -> (
-                   match j c root with
-                   | Some found ->
-                       List.map Item.of_node (Item.doc_order_dedup found)
-                   | None -> walk c tree)
+               | Some j, [ root ] when root.Node.parent = None ->
+                   List.map Item.of_node (Item.doc_order_dedup (j c root))
                | _ -> walk c tree))
            (group_by_tree nodes))
   | EFlwor ((CFor ((v, src) :: more) :: restc as clauses), ret)

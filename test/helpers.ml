@@ -129,3 +129,16 @@ let contains_sub ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
+
+(* Tests run from _build/default/test under `dune runtest`, but from the
+   repo root under `dune exec test/test_main.exe`. *)
+let fixture_path name =
+  let cands =
+    [
+      Filename.concat "fixtures" name;
+      Filename.concat (Filename.concat "test" "fixtures") name;
+    ]
+  in
+  match List.find_opt Sys.file_exists cands with
+  | Some p -> p
+  | None -> Alcotest.failf "fixture not found: %s" name

@@ -95,18 +95,6 @@ let state db =
        (fun (a : Xmlindex.Rel_index.t) b ->
          compare a.Xmlindex.Rel_index.iname b.Xmlindex.Rel_index.iname)
        (Engine.rel_indexes db));
-  List.iter
-    (fun (i : Xmlindex.Structindex.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "sidx %s %d %d\n"
-           i.Xmlindex.Structindex.def.Xmlindex.Structindex.iname
-           (Xmlindex.Structindex.doc_count i)
-           (Xmlindex.Structindex.node_count i)))
-    (List.sort
-       (fun (a : Xmlindex.Structindex.t) b ->
-         compare a.Xmlindex.Structindex.def.Xmlindex.Structindex.iname
-           b.Xmlindex.Structindex.def.Xmlindex.Structindex.iname)
-       (Engine.struct_indexes db));
   Buffer.contents b
 
 let assert_consistent db =
@@ -170,31 +158,6 @@ let backfill_ops =
                Printf.sprintf "<a><p>%d</p><p>%d</p></a>" i (i + 1000))) );
     ("checkpoint", Engine.checkpoint);
     sqlop "CREATE INDEX ip2 ON t(d) USING XMLPATTERN '//p' AS DOUBLE";
-    sqlop "INSERT INTO t VALUES (999, '<a><p>999</p></a>')";
-  ]
-
-(* The structural (pre/post) encoding under the same torture: build the
-   index over live rows, mutate through every hook path (insert, UPDATE =
-   delete+insert, DELETE), checkpoint mid-stream. The armed
-   structindex.insert_doc / structindex.remove_doc points fire inside
-   encoding maintenance; recovery must then rebuild encodings that pass
-   [Engine.check_consistency]'s interval laws (assert_consistent above
-   runs on every recovered engine). *)
-let struct_ops =
-  [
-    sqlop "CREATE TABLE t (a integer, d XML)";
-    ( "load 25 docs",
-      fun db ->
-        Engine.load_documents db ~table:"t" ~column:"d"
-          (List.init 25 (fun i ->
-               Printf.sprintf "<a q=\"%d\"><p>%d</p><r>%d</r></a>" i i
-                 (i + 1000))) );
-    sqlop "CREATE STRUCTURAL INDEX st ON t(d)";
-    ("checkpoint", Engine.checkpoint);
-    sqlop
-      "UPDATE t SET d = XMLQUERY('<a><p>{$D/a/p + 1}</p></a>' PASSING d AS \
-       \"D\")";
-    sqlop "DELETE FROM t WHERE a = 7";
     sqlop "INSERT INTO t VALUES (999, '<a><p>999</p></a>')";
   ]
 
@@ -349,8 +312,6 @@ let torture_tests =
     sweep_tc "UPDATE" update_ops ~par:4 ~ns:[ 1 ];
     sweep_tc "CREATE INDEX backfill" backfill_ops ~par:1 ~ns:[ 1; 7 ];
     sweep_tc "CREATE INDEX backfill" backfill_ops ~par:4 ~ns:[ 1 ];
-    sweep_tc "structural index" struct_ops ~par:1 ~ns:[ 1; 7 ];
-    sweep_tc "structural index" struct_ops ~par:4 ~ns:[ 1 ];
     txn_sweep_tc ~par:1 ~ns:[ 1; 5 ];
     txn_sweep_tc ~par:2 ~ns:[ 1 ];
     txn_sweep_tc ~par:4 ~ns:[ 1 ];
@@ -463,18 +424,16 @@ let roundtrip_tests =
         Engine.checkpoint db;
         Engine.close db;
         Engine.simulate_crash db);
-    tc "structural index survives WAL-only reopen and checkpoint round-trip"
+    tc "structural answers survive WAL-only reopen and checkpoint round-trip"
       (fun () ->
         with_dir (fun dir ->
             let db = Engine.open_db ~data_dir:dir () in
             setup_small db;
-            ignore (sql db "CREATE STRUCTURAL INDEX st ON t(d)");
-            let q =
-              "db2-fn:xmlcolumn('T.D')//p/parent::a"
-            in
+            let q = "db2-fn:xmlcolumn('T.D')//p/parent::a" in
             let expect = Engine.to_xml (Engine.outcome_items (Engine.exec db q)) in
             let before = state db in
-            (* WAL-only: the definition replays, encodings rebuild *)
+            (* WAL-only: the documents replay, their encodings are
+               memoized again on first use *)
             Engine.close db;
             let db2 = Engine.open_db ~data_dir:dir () in
             check Alcotest.string "state after WAL replay" before (state db2);
@@ -484,9 +443,11 @@ let roundtrip_tests =
               (Engine.to_xml (Engine.outcome_items o));
             check Alcotest.bool "served by the structural join" true
               (List.exists (contains_sub ~affix:"PSTRUCTJOIN") o.Engine.notes);
-            (* checkpoint: the definition rides the snapshot catalog *)
             Engine.checkpoint db2;
             ignore (sql db2 "INSERT INTO t VALUES (77, NULL, '<a><p>77</p></a>')");
+            let expect2 =
+              Engine.to_xml (Engine.outcome_items (Engine.exec db2 q))
+            in
             let before2 = state db2 in
             Engine.close db2;
             let db3 = Engine.open_db ~data_dir:dir () in
@@ -496,12 +457,9 @@ let roundtrip_tests =
                 check Alcotest.string "state after snapshot + redo" before2
                   (state db3);
                 assert_consistent db3;
-                check Alcotest.bool "index still lists" true
-                  (List.exists
-                     (fun (i : Xmlindex.Structindex.t) ->
-                       i.Xmlindex.Structindex.def.Xmlindex.Structindex.iname
-                       = "st")
-                     (Engine.struct_indexes db3)))));
+                check Alcotest.string "structural answer after snapshot + redo"
+                  expect2
+                  (Engine.to_xml (Engine.outcome_items (Engine.exec db3 q))))));
     tc "sync:false loads survive a clean close" (fun () ->
         with_dir (fun dir ->
             let db = Engine.open_db ~sync:false ~data_dir:dir () in
@@ -709,10 +667,100 @@ let torn_write_prop =
                   true
               | ts -> Alcotest.failf "unexpected tables: %s" (String.concat "," ts))))
 
+(* ------------------------------------------------------------------ *)
+(* Compatibility: a directory written by a build with structural indexes *)
+(* ------------------------------------------------------------------ *)
+
+(* fixtures/struct_v3 was written by a build in which CREATE STRUCTURAL
+   INDEX made a catalog object: its format-3 snapshot's closing S frame
+   names the index s_snap, and its WAL tail holds the DDL record
+   "CREATE STRUCTURAL INDEX s_wal ON t(d)" followed by one insert. This
+   build must read the definition and drop it, replay the DDL as the
+   validating no-op, and answer structural queries by the join. *)
+let copy_fixture dir =
+  let fixture_dir = fixture_path "struct_v3" in
+  Unix.mkdir dir 0o755;
+  Array.iter
+    (fun name ->
+      write_file (Filename.concat dir name)
+        (In_channel.with_open_bin (Filename.concat fixture_dir name)
+           In_channel.input_all))
+    (Sys.readdir fixture_dir)
+
+(* the rows as the writing build listed them *)
+let fixture_rows =
+  [
+    "1|<a q=\"1\"><p>1</p><r><p>10</p></r></a>";
+    "2|<a><r/><p>2</p><!--c--><p>20</p></a>";
+    "3|<a q=\"3\"><r><r><p>3</p></r></r>t</a>";
+    "4|<a><p>4</p><r q=\"4\"><p>40</p></r><p>41</p></a>";
+  ]
+
+let compat_tests =
+  [
+    tc "a directory with structural-index definitions opens and answers"
+      (fun () ->
+        with_dir (fun dir ->
+            copy_fixture dir;
+            let db = Engine.open_db ~data_dir:dir () in
+            Fun.protect
+              ~finally:(fun () -> Engine.close db)
+              (fun () ->
+                check
+                  Alcotest.(list string)
+                  "rows identical" fixture_rows
+                  (List.map
+                     (fun r ->
+                       String.concat "|"
+                         (List.map Storage.Sql_value.to_display r))
+                     (sql db "SELECT a, d FROM t").Sqlxml.Sql_exec.rrows);
+                List.iter
+                  (fun q ->
+                    let o = Engine.exec db q in
+                    check Alcotest.string (q ^ " ≡ strict")
+                      (Engine.to_xml (xquery_strict db q))
+                      (Engine.to_xml (Engine.outcome_items o));
+                    check Alcotest.bool (q ^ ": PSTRUCTJOIN") true
+                      (List.exists
+                         (contains_sub ~affix:"PSTRUCTJOIN")
+                         o.Engine.notes))
+                  [
+                    "db2-fn:xmlcolumn('T.D')//p/parent::*";
+                    "db2-fn:xmlcolumn('T.D')//p/ancestor::r";
+                    "db2-fn:xmlcolumn('T.D')/a/r/preceding-sibling::*";
+                  ];
+                check
+                  Alcotest.(list string)
+                  "only the XML index remains" [ "ip" ]
+                  (List.map fst (Engine.check_consistency db));
+                assert_consistent db)));
+    tc "a checkpoint of such a directory writes an empty structural list"
+      (fun () ->
+        with_dir (fun dir ->
+            copy_fixture dir;
+            let db = Engine.open_db ~data_dir:dir () in
+            Engine.checkpoint db;
+            Engine.close db;
+            let snap =
+              In_channel.with_open_bin
+                (Filename.concat dir "snapshot.2.pages")
+                In_channel.input_all
+            in
+            check Alcotest.bool "closing S frame holds a zero count" true
+              (String.ends_with ~suffix:(Wal.Codec.frame "S\000") snap);
+            let db2 = Engine.open_db ~data_dir:dir () in
+            Fun.protect
+              ~finally:(fun () -> Engine.close db2)
+              (fun () ->
+                check Alcotest.int "rows" (List.length fixture_rows)
+                  (sql_count db2 "SELECT a FROM t"))));
+  ]
+
 let suite =
   [
     ("durable:roundtrip", roundtrip_tests);
     ("durable:format", format_tests);
+    ("durable:compat", compat_tests);
     ("durable:codec", codec_tests);
     ("durable:torture", torture_tests);
     ("durable:torn", [ QCheck_alcotest.to_alcotest torn_write_prop ]);

@@ -343,7 +343,6 @@ let corpus_db =
        (sql db
           "CREATE INDEX c_custid ON customer(cdoc) USING XMLPATTERN \
            '/customer/id' AS DOUBLE");
-     ignore (sql db "CREATE STRUCTURAL INDEX s_ord ON orders(orddoc)");
      db)
 
 let corpus =

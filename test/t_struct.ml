@@ -1,14 +1,15 @@
-(** Differential structural-join ≡ tree-walk harness.
+(** Differential structural-join ≡ tree-walk ≡ reference harness.
 
-    The structural (pre/post) index answers predicate-free axis
-    pipelines as array joins; the tree-walk evaluator answers the same
-    queries by navigation. The two must be byte-identical on every axis
-    — forward, reverse and sibling — over the paper corpus and over
-    qcheck-random documents, at parallelism 1, 2 and 4. The plan must
-    say which path ran ([PSTRUCTJOIN ...] vs [nav-axis: ...] notes), the
-    Xprof counters must charge the structural probes, and
-    [Engine.check_consistency] must hold the encodings to the interval
-    laws throughout. *)
+    Predicate-free axis pipelines run as array joins over each
+    document's pre/post encoding, memoized on the document root at first
+    use; the tree-walk evaluator answers the same queries by navigation,
+    and {!Ref_axes} answers them from the axis definitions over its own
+    pre/post numbering. All three must be byte-identical on every axis —
+    forward, reverse and sibling — over the paper corpus and over
+    qcheck-random documents, at parallelism 1, 2 and 4. The plan must say
+    which path ran ([PSTRUCTJOIN ...] vs [nav-axis: ...] notes), the
+    Xprof counters must charge the structural probes, and every memoized
+    encoding must satisfy the interval laws. *)
 
 open Helpers
 
@@ -18,12 +19,7 @@ let levels = [ 1; 2; 4 ]
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** The paper database plus a structural index on each XML column. *)
-let mk_db () =
-  let db = paper_db ~n_orders:60 () in
-  ignore (sql db "CREATE STRUCTURAL INDEX s_ord ON orders(orddoc)");
-  ignore (sql db "CREATE STRUCTURAL INDEX s_cust ON customer(cdoc)");
-  db
+let mk_db () = paper_db ~n_orders:60 ()
 
 let shared_db = lazy (mk_db ())
 
@@ -43,7 +39,6 @@ let mk_special_db () =
   let db = Engine.create () in
   ignore (sql db "CREATE TABLE t (id integer, doc XML)");
   Engine.load_documents db ~table:"t" ~column:"doc" special_docs;
-  ignore (sql db "CREATE STRUCTURAL INDEX s_t ON t(doc)");
   db
 
 let special_db = lazy (mk_special_db ())
@@ -81,10 +76,38 @@ let strict db (src : string) : string =
   | items -> Engine.to_xml items
   | exception Xdm.Xerror.Error { code; _ } -> "ERROR " ^ code
 
+(** The independent reference, for axis pipelines only. *)
+let reference db (src : string) : string option =
+  Option.map
+    (fun nodes -> Engine.to_xml (List.map Xdm.Item.of_node nodes))
+    (Ref_axes.eval (Engine.database db) src)
+
+(** Does [src] with indexes on/off show the structural join? *)
+let joins ~indexes db src =
+  Engine.set_use_indexes db indexes;
+  Fun.protect
+    ~finally:(fun () -> Engine.set_use_indexes db true)
+    (fun () ->
+      List.exists
+        (contains_sub ~affix:"PSTRUCTJOIN")
+        (Engine.exec db src).Engine.notes)
+
 (** Structural (indexes on) ≡ navigational (indexes off) ≡ strict
-    tree-walk at every parallelism level, byte-identical. *)
+    tree-walk at every parallelism level, byte-identical; an axis
+    pipeline also ≡ the reference evaluator, with PSTRUCTJOIN in its
+    plan only while indexes are on. *)
 let assert_struct_diff db (id : string) (src : string) =
   let base = strict db src in
+  (match reference db src with
+  | Some r ->
+      check Alcotest.string (id ^ ": reference ≡ strict") base r;
+      check Alcotest.bool (id ^ ": PSTRUCTJOIN with indexes on") true
+        (joins ~indexes:true db src);
+      check Alcotest.bool (id ^ ": no PSTRUCTJOIN with indexes off") false
+        (joins ~indexes:false db src)
+  | None ->
+      check Alcotest.bool (id ^ ": other shapes never join") false
+        (joins ~indexes:true db src));
   List.iter
     (fun par ->
       check Alcotest.string
@@ -96,6 +119,49 @@ let assert_struct_diff db (id : string) (src : string) =
         base
         (snapshot ~indexes:false ~par db src))
     levels
+
+(** The interval laws of a memoized encoding, and its agreement with the
+    reference numbering of the same tree: parent before child, each node
+    inside its parent's preorder interval, level + 1 below the parent,
+    post order below the parent. Returns the violations. *)
+let encoding_problems (root : Xdm.Node.t) : string list =
+  let module S = Xmlindex.Structindex in
+  let e = S.encoding root in
+  let rows = Ref_axes.number root in
+  let problems = ref [] in
+  let add fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  if S.encoding root != e then add "encoding is not memoized";
+  let n = Array.length e.S.nodes in
+  if n <> Array.length rows then
+    add "encoding has %d nodes, tree has %d" n (Array.length rows)
+  else
+    for j = 0 to n - 1 do
+      let r = rows.(j) in
+      if
+        e.S.nodes.(j) != r.Ref_axes.node
+        || e.S.post.(j) <> r.Ref_axes.post
+        || e.S.parent.(j) <> r.Ref_axes.parent
+        || e.S.level.(j) <> r.Ref_axes.level
+      then add "pre %d differs from the reference numbering" j;
+      let p = e.S.parent.(j) in
+      if j = 0 then begin
+        if p <> -1 || e.S.level.(0) <> 0 then
+          add "root must have parent -1, level 0"
+      end
+      else if p < 0 || p >= j then add "pre %d: parent %d not before it" j p
+      else begin
+        if not (j <= e.S.endp.(p)) then
+          add "pre %d outside parent %d's interval (%d,%d]" j p p e.S.endp.(p);
+        if e.S.endp.(j) > e.S.endp.(p) then
+          add "pre %d: subtree ends past its parent's" j;
+        if e.S.level.(j) <> e.S.level.(p) + 1 then
+          add "pre %d level %d, parent level %d" j e.S.level.(j) e.S.level.(p);
+        if e.S.post.(j) >= e.S.post.(p) then
+          add "pre %d post %d not before parent post %d" j e.S.post.(j)
+            e.S.post.(p)
+      end
+    done;
+  List.rev !problems
 
 (* ------------------------------------------------------------------ *)
 (* Axis corpus: every axis, structural shape and fallback shapes        *)
@@ -113,7 +179,7 @@ let axis_corpus =
     ("self-star", orders ^ "/order/self::*");
     ("attr", orders ^ "//lineitem/@price");
     ("attr-star", orders ^ "/order/@*");
-    (* reverse axes — tree-walk-only before the structural index *)
+    (* reverse axes — tree-walk-only without the structural join *)
     ("parent-star", orders ^ "//product/parent::*");
     ("parent-named", orders ^ "//id/parent::product");
     ("parent-node", orders ^ "//quantity/parent::node()");
@@ -193,9 +259,11 @@ let plan_tests =
         check Alcotest.bool "PSTRUCTJOIN note present" true
           (List.exists (contains_sub ~affix:"PSTRUCTJOIN") plan.Planner.notes);
         check Alcotest.bool "parent axis step noted" true
-          (List.exists (contains_sub ~affix:"parent::*") plan.Planner.notes);
-        check Alcotest.bool "s_ord in indexes_used" true
-          (List.mem "s_ord" (used plan)));
+          (List.exists
+             (contains_sub ~affix:"PSTRUCTJOIN parent::*")
+             plan.Planner.notes);
+        check Alcotest.(list string) "indexes_used lists real indexes only" []
+          (used plan));
     tc "ineligible shape (predicate) falls back with a nav-axis note"
       (fun () ->
         let db = Lazy.force shared_db in
@@ -208,16 +276,13 @@ let plan_tests =
           (List.exists
              (contains_sub ~affix:"nav-axis: parent (tree-walk)")
              plan.Planner.notes));
-    tc "without a structural index the reverse axis notes nav-axis"
-      (fun () ->
+    tc "a fresh database joins without any DDL" (fun () ->
         let db = paper_db ~n_orders:5 () in
         let _, plan = xquery db (orders ^ "//product/parent::*") in
-        check Alcotest.bool "no PSTRUCTJOIN note" false
+        check Alcotest.bool "PSTRUCTJOIN note present" true
           (List.exists (contains_sub ~affix:"PSTRUCTJOIN") plan.Planner.notes);
-        check Alcotest.bool "nav-axis note present" true
-          (List.exists
-             (contains_sub ~affix:"nav-axis: parent (tree-walk)")
-             plan.Planner.notes));
+        check Alcotest.bool "no nav-axis note" false
+          (List.exists (contains_sub ~affix:"nav-axis") plan.Planner.notes));
     tc "\\indexes off suppresses the structural join" (fun () ->
         let db = Lazy.force shared_db in
         Engine.set_use_indexes db false;
@@ -260,79 +325,128 @@ let plan_tests =
     tc "structural cursor joins one document per pull" (fun () ->
         let db = mk_db () in
         let src = orders ^ "//product/parent::lineitem" in
-        let sidx =
-          List.find
-            (fun (s : Xmlindex.Structindex.t) ->
-              s.Xmlindex.Structindex.def.Xmlindex.Structindex.iname = "s_ord")
-            (Engine.struct_indexes db)
-        in
-        let probes_during f =
-          let before = fst (Xmlindex.Structindex.stats sidx) in
-          f ();
-          fst (Xmlindex.Structindex.stats sidx) - before
-        in
-        let one_pull =
-          probes_during (fun () ->
-              let cur = Engine.open_cursor db src in
-              check Alcotest.bool "first pull" true
-                (Engine.Cursor.next cur <> None);
-              Engine.Cursor.close cur)
-        in
-        let drained =
-          probes_during (fun () ->
-              let cur = Engine.open_cursor db src in
-              ignore (Engine.Cursor.fold (fun n _ -> n + 1) 0 cur))
-        in
-        check Alcotest.bool
-          (Printf.sprintf "one pull probes %d < drained %d" one_pull drained)
-          true
-          (0 < one_pull && one_pull < drained));
-    tc "DROP INDEX removes the structural index and its catalog entry"
-      (fun () ->
-        let db = mk_db () in
-        check Alcotest.int "two structural indexes" 2
-          (List.length (Engine.struct_indexes db));
-        ignore (sql db "DROP INDEX s_cust");
-        check Alcotest.int "one left" 1
-          (List.length (Engine.struct_indexes db));
-        let _, plan = xquery db (orders ^ "//product/parent::*") in
-        check Alcotest.bool "survivor still serves orders" true
-          (List.mem "s_ord" (used plan));
-        ignore (sql db "DROP INDEX s_ord");
-        let _, plan = xquery db (orders ^ "//product/parent::*") in
-        check Alcotest.bool "no structural join after drop" false
-          (List.exists (contains_sub ~affix:"PSTRUCTJOIN") plan.Planner.notes));
-    tc "catalog generation bumps on CREATE STRUCTURAL INDEX (plan cache)"
-      (fun () ->
+        Engine.set_profiling db true;
+        Fun.protect
+          ~finally:(fun () -> Engine.set_profiling db false)
+          (fun () ->
+            let probes_during f =
+              let count () =
+                Option.value ~default:0
+                  (List.assoc_opt "struct_probes"
+                     (Xprof.counters (Engine.profile db)))
+              in
+              let before = count () in
+              f ();
+              count () - before
+            in
+            let one_pull =
+              probes_during (fun () ->
+                  let cur = Engine.open_cursor db src in
+                  check Alcotest.bool "first pull" true
+                    (Engine.Cursor.next cur <> None);
+                  Engine.Cursor.close cur)
+            in
+            let drained =
+              probes_during (fun () ->
+                  let cur = Engine.open_cursor db src in
+                  ignore (Engine.Cursor.fold (fun n _ -> n + 1) 0 cur))
+            in
+            check Alcotest.bool
+              (Printf.sprintf "one pull probes %d < drained %d" one_pull
+                 drained)
+              true
+              (0 < one_pull && one_pull < drained)));
+    tc "CREATE STRUCTURAL INDEX is a validating no-op" (fun () ->
         let db = paper_db ~n_orders:5 () in
         let src = orders ^ "//product/parent::*" in
-        let _, plan = xquery db src in
-        check Alcotest.bool "tree-walk before the index" false
-          (List.exists (contains_sub ~affix:"PSTRUCTJOIN") plan.Planner.notes);
+        let _, plan0 = xquery db src in
+        let xml0 = List.length (Engine.xml_indexes db)
+        and rel0 = List.length (Engine.rel_indexes db) in
         ignore (sql db "CREATE STRUCTURAL INDEX s_o ON orders(orddoc)");
-        let _, plan = xquery db src in
-        check Alcotest.bool "same statement text replans structurally" true
-          (List.exists (contains_sub ~affix:"PSTRUCTJOIN") plan.Planner.notes));
-    tc "advisor tip 14 suggests a structural index, and stops once built"
-      (fun () ->
-        let db = paper_db ~n_orders:5 () in
-        let src = orders ^ "//product/parent::*" in
-        let tips = List.map (fun a -> a.Engine.Advisor.tip) (Engine.advise db src) in
-        check Alcotest.bool "tip 14 before the index" true (List.mem 14 tips);
-        ignore (sql db "CREATE STRUCTURAL INDEX s_o ON orders(orddoc)");
-        let tips = List.map (fun a -> a.Engine.Advisor.tip) (Engine.advise db src) in
-        check Alcotest.bool "tip 14 gone after the index" false
-          (List.mem 14 tips));
-    tc "check_consistency validates the structural encodings" (fun () ->
+        let _, plan1 = xquery db src in
+        check Alcotest.(list string) "same plan notes" plan0.Planner.notes
+          plan1.Planner.notes;
+        check Alcotest.int "no XML index added" xml0
+          (List.length (Engine.xml_indexes db));
+        check Alcotest.int "no relational index added" rel0
+          (List.length (Engine.rel_indexes db));
+        expect_error "XQDB0002" (fun () ->
+            sql db "CREATE STRUCTURAL INDEX s_x ON nosuch(orddoc)");
+        expect_error "XQDB0002" (fun () ->
+            sql db "CREATE STRUCTURAL INDEX s_x ON orders(nocol)");
+        (* a non-XML column was accepted when the index was an object,
+           and still is *)
+        ignore (sql db "CREATE STRUCTURAL INDEX s_i ON orders(ordid)");
+        ignore (sql db "DROP INDEX s_o"));
+    tc "memoized encodings satisfy the interval laws" (fun () ->
         let db = mk_db () in
-        ignore (sql db "INSERT INTO orders VALUES (990, '<order><lineitem \
-                        quantity=\"1\"/></order>')");
+        ignore
+          (sql db
+             "INSERT INTO orders VALUES (990, '<order><lineitem \
+              quantity=\"1\"/></order>')");
+        ignore (Engine.exec db (orders ^ "//lineitem/parent::*"));
         List.iter
-          (fun (iname, diffs) ->
-            check Alcotest.(list string) (iname ^ " consistent") [] diffs)
-          (Engine.check_consistency db);
-        check Alcotest.bool "structural indexes among the reports" true
-          (List.mem_assoc "s_ord" (Engine.check_consistency db)));
+          (fun (root : Xdm.Node.t) ->
+            check Alcotest.(list string) "interval laws" []
+              (encoding_problems root))
+          (Ref_axes.documents (Engine.database db) "ORDERS.ORDDOC"));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Memo publication under concurrency                                   *)
+(* ------------------------------------------------------------------ *)
+
+let race_tests =
+  [
+    tc "four domains race one structural query on unencoded documents"
+      (fun () ->
+        let db = mk_db () in
+        let src = orders ^ "//id/ancestor::lineitem" in
+        let want = strict db src in
+        let c = Planner.compile src in
+        let cat = Engine.catalog db in
+        (* workers only record; the calling domain asserts *)
+        let got = Array.make 4 "" and joined = Array.make 4 false in
+        Xpar.parallel_for ~parallelism:4 ~chunk_size:1 0 4 (fun i ->
+            let seq, plan, _ = Planner.execute cat c in
+            got.(i) <- Engine.to_xml (List.of_seq seq);
+            joined.(i) <-
+              List.exists (contains_sub ~affix:"PSTRUCTJOIN") plan.Planner.notes);
+        Array.iteri
+          (fun i g ->
+            check Alcotest.string (Printf.sprintf "domain %d ≡ strict" i) want g;
+            check Alcotest.bool (Printf.sprintf "domain %d joined" i) true
+              joined.(i))
+          got;
+        List.iter
+          (fun root ->
+            check Alcotest.(list string) "interval laws" []
+              (encoding_problems root))
+          (Ref_axes.documents (Engine.database db) "ORDERS.ORDDOC"));
+    tc "read-only txn joins while a writer loads documents" (fun () ->
+        let db = Engine.create () in
+        ignore (sql db "CREATE TABLE t (id integer, doc XML)");
+        Engine.load_documents db ~table:"t" ~column:"doc" special_docs;
+        let src = special ^ "//*/parent::*" in
+        let pinned = strict db src in
+        let ro = Engine.Txn.begin_ ~mode:Engine.Txn.Read_only db in
+        let reads = Array.make 8 "" in
+        Xpar.parallel_for ~parallelism:2 ~chunk_size:1 0 2 (fun i ->
+            if i = 0 then
+              Engine.load_documents db ~table:"t" ~column:"doc"
+                (List.concat (List.init 4 (fun _ -> special_docs)))
+            else
+              Array.iteri
+                (fun k _ ->
+                  reads.(k) <-
+                    Engine.to_xml
+                      (Engine.outcome_items (Engine.exec ~txn:ro db src)))
+                reads);
+        Engine.Txn.commit ro;
+        Array.iter (check Alcotest.string "pinned read ≡ strict" pinned) reads;
+        check Alcotest.string "live read ≡ strict after the load"
+          (strict db src)
+          (render (Engine.exec db src)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -417,28 +531,31 @@ let arb_case =
 
 let prop_structural_equiv_nav =
   QCheck.Test.make ~count:60
-    ~name:"random docs × random axis pipeline: structural ≡ navigational"
+    ~name:
+      "random docs × random axis pipeline: structural ≡ navigational ≡ \
+       reference"
     arb_case
     (fun (docs, steps, par) ->
       let db = Engine.create () in
       ignore (sql db "CREATE TABLE t (id integer, doc XML)");
       Engine.load_documents db ~table:"t" ~column:"doc" docs;
-      ignore (sql db "CREATE STRUCTURAL INDEX s_t ON t(doc)");
       let src = special ^ steps in
       let nav = strict db src in
       let st = snapshot ~indexes:true ~par db src in
       (* the shape is always bare axis steps: the structural join must
-         actually have served it (not silently fallen back) *)
-      let o = Engine.exec db src in
+         actually have served it, and never with indexes off *)
       st = nav
-      && List.exists (contains_sub ~affix:"PSTRUCTJOIN") o.Engine.notes
+      && reference db src = Some nav
+      && joins ~indexes:true db src
+      && (not (joins ~indexes:false db src))
       && List.for_all
-           (fun (_, diffs) -> diffs = [])
-           (Engine.check_consistency db))
+           (fun root -> encoding_problems root = [])
+           (Ref_axes.documents (Engine.database db) "T.DOC"))
 
 let suite =
   [
     ("struct:corpus", corpus_tests);
     ("struct:plan", plan_tests);
+    ("struct:race", race_tests);
     ("struct:props", [ QCheck_alcotest.to_alcotest prop_structural_equiv_nav ]);
   ]

@@ -213,6 +213,25 @@ let node_tests =
             (Node.descendants d)
         in
         check Alcotest.(list string) "preorder" [ "a"; "b"; "c"; "e" ] names);
+    tc "memo: a document computes once, copies and mutation start over"
+      (fun () ->
+        let module S = Xmlindex.Structindex in
+        let d = parse_doc "<a x=\"1\"><b/></a>" in
+        let e = S.encoding d in
+        check Alcotest.bool "memoized" true (S.encoding d == e);
+        check Alcotest.int "nodes" 4 (Array.length e.S.nodes);
+        let c = Node.copy d in
+        check Alcotest.bool "a copy has its own memo" true (S.encoding c != e);
+        Node.append_child (List.hd d.Node.children) (Node.element (Qname.make "z"));
+        check Alcotest.int "mutation re-encodes" 5
+          (Array.length (S.encoding d).S.nodes));
+    tc "memo: a parentless element is encoded at every use" (fun () ->
+        let module S = Xmlindex.Structindex in
+        let el = List.hd (parse_doc "<a><b/></a>").Node.children in
+        el.Node.parent <- None;
+        let e = S.encoding el in
+        check Alcotest.int "nodes" 2 (Array.length e.S.nodes);
+        check Alcotest.bool "not memoized" true (S.encoding el != e));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -17,19 +17,6 @@ module Reg = Xsan.Registry
 module LO = Xpar.Lockorder
 module Plan_cache = Engine.Plan_cache
 
-(* Tests run from _build/default/test under `dune runtest`, but from the
-   repo root under `dune exec test/test_main.exe`. *)
-let fixture_path name =
-  let cands =
-    [
-      Filename.concat "fixtures" name;
-      Filename.concat (Filename.concat "test" "fixtures") name;
-    ]
-  in
-  match List.find_opt Sys.file_exists cands with
-  | Some p -> p
-  | None -> Alcotest.failf "fixture not found: %s" name
-
 let codes (ds : D.t list) : string list =
   List.sort_uniq compare (List.map (fun d -> d.D.code) ds)
 
